@@ -22,7 +22,6 @@ from .matdet import (
     IndexSet,
     PolyMatrix,
     coupled_b_expansion,
-    factorize_coupled,
     format_matrix,
     laplace_expand,
     markus_expansion,
@@ -77,7 +76,6 @@ __all__ = [
     "crosspoint",
     "dispersion_poly",
     "equal_up_to_signature",
-    "factorize_coupled",
     "format_matrix",
     "format_poly",
     "laplace_expand",

@@ -287,12 +287,6 @@ def dispersion_poly(lag: QuadraticLagrangian) -> MultiPoly:
     return symbol_matrix(lag).determinant()
 
 
-def specialize(p: MultiPoly, lag: QuadraticLagrangian) -> MultiPoly:
-    """Substitute the Lagrangian's declared parameter values into a polynomial."""
-    hit = {v: lag.param_values[v] for v in p.variables if v in lag.param_values}
-    return p.subs(hit)
-
-
 def equal_up_to_signature(a: PolyMatrix, b: PolyMatrix, factor=1) -> bool:
     """True if a == factor * D_s b D_s for some diagonal sign matrix D_s.
 

@@ -1,6 +1,11 @@
 """Determinants, adjugates, Laplace and Markus expansions for matrices of
 polynomials, and the coupling-parameter expansion that factorizes the
 determinant of a two-subsystem matrix as G1*G2 plus a coupling remainder.
+
+All five read their minors from one per-call table (`_MinorTable`): a minor is
+expanded along its first row from memoized smaller minors, and constant real
+matrices are computed in plain rational arithmetic.  The expansions are sums
+of complementary minor products (`_complementary_sum`).
 """
 
 from __future__ import annotations
@@ -164,34 +169,23 @@ class PolyMatrix:
         return True
 
     def det(self) -> Entry:
-        """Exact determinant.
+        """Exact determinant: the full minor of the matrix's minor table.
 
-        Constant rational matrices go through fraction-free Bareiss
-        elimination; anything symbolic uses cofactor recursion with memoized
-        minors (the model matrices here never exceed dimension 6).
+        Constant real matrices are expanded over Fractions and only the result
+        is wrapped as a constant polynomial.
         """
-        if not self.is_complex() and all(
-            e.is_constant() for row in self.entries for e in row
-        ):
-            value = _bareiss_det([[e.constant_value() for e in row] for row in self.entries])
-            return MultiPoly.const(value)
-        return _cofactor_det(self.entries)
+        full = tuple(range(self.n))
+        return _coerce_entry(_MinorTable(self).minor(full, full))
 
     def adjugate(self) -> "PolyMatrix":
         """Adjugate matrix: (i,j) entry is (-1)^(i+j) det of A with row j, col i deleted."""
-        n = self.n
-        if n == 1:
-            return PolyMatrix([[MultiPoly.const(1)]])
-        rows = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                keep_r = [r for r in range(n) if r != j]
-                keep_c = [c for c in range(n) if c != i]
-                minor = self.submatrix(keep_r, keep_c).det()
-                row.append(minor if (i + j) % 2 == 0 else -minor)
-            rows.append(row)
-        return PolyMatrix(rows)
+        n, table = self.n, _MinorTable(self)
+
+        def cofactor(i, j):
+            minor = table.minor(_complement((j,), n), _complement((i,), n))
+            return minor if (i + j) % 2 == 0 else -minor
+
+        return PolyMatrix([[cofactor(i, j) for j in range(n)] for i in range(n)])
 
     def __str__(self) -> str:
         return format_matrix(self)
@@ -206,61 +200,71 @@ def _entries_equal(a: Entry, b: Entry) -> bool:
     return a == b
 
 
-def _bareiss_det(m: list[list[Fraction]]) -> Fraction:
-    """Fraction-free Gaussian elimination (Bareiss); exact for rational entries."""
-    n = len(m)
-    if n == 1:
-        return m[0][0]
-    m = [row[:] for row in m]
-    sign = 1
-    prev = Fraction(1)
-    for k in range(n - 1):
-        if not m[k][k]:
-            for i in range(k + 1, n):
-                if m[i][k]:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return Fraction(0)
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[k][k] * m[i][j] - m[i][k] * m[k][j]) / prev
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+class _MinorTable:
+    """The minors of one matrix, computed on demand for the duration of one call.
 
+    The minor on rows R and columns C (increasing 0-based tuples) is expanded
+    along the first row of R from the minors of size |R|-1, which are memoized
+    by (rows, cols); the zero-size minor is 1.  A constant real matrix is
+    unwrapped to Fractions once, here, so its minors are rational numbers.
+    """
 
-def _cofactor_det(entries) -> Entry:
-    n = len(entries)
-    memo: dict[tuple[int, ...], Entry] = {}
+    __slots__ = ("n", "entries", "zero", "memo")
 
-    def minor(cols: tuple[int, ...]) -> Entry:
-        if cols in memo:
-            return memo[cols]
-        row = n - len(cols)
-        if len(cols) == 1:
-            result = entries[row][cols[0]]
+    def __init__(self, m: PolyMatrix):
+        entries = m.entries
+        if m.is_complex():
+            ring = ComplexPoly
+        elif all(e.is_constant() for row in entries for e in row):
+            entries = [[e.constant_value() for e in row] for row in entries]
+            ring = Fraction
         else:
-            result = None
-            for pos, c in enumerate(cols):
-                e = entries[row][c]
-                if isinstance(e, MultiPoly) and e.is_zero():
-                    continue
-                if isinstance(e, ComplexPoly) and e.is_zero():
-                    continue
-                sub = minor(cols[:pos] + cols[pos + 1 :])
-                term = e * sub if pos % 2 == 0 else -(e * sub)
-                result = term if result is None else result + term
-            if result is None:
-                result = _zero_like(entries[0][0])
-        memo[cols] = result
-        return result
+            ring = MultiPoly.const
+        self.n, self.entries, self.zero = m.n, entries, ring(0)
+        self.memo = {((), ()): ring(1)}
 
-    return minor(tuple(range(n)))
+    def minor(self, rows: tuple[int, ...], cols: tuple[int, ...]):
+        if len(rows) == 1:
+            return self.entries[rows[0]][cols[0]]
+        key = (rows, cols)
+        value = self.memo.get(key)
+        if value is not None:
+            return value
+        head, tail = self.entries[rows[0]], rows[1:]
+        for pos, c in enumerate(cols):
+            e = head[c]
+            if not e:
+                continue
+            term = e * self.minor(tail, cols[:pos] + cols[pos + 1 :])
+            if pos % 2:
+                term = -term
+            value = term if value is None else value + term
+        if value is None:
+            value = self.zero
+        self.memo[key] = value
+        return value
 
 
-def _zero_like(entry: Entry) -> Entry:
-    return ComplexPoly.zero() if isinstance(entry, ComplexPoly) else MultiPoly.zero()
+def _complement(indices: tuple[int, ...], n: int) -> tuple[int, ...]:
+    return tuple(i for i in range(n) if i not in indices)
+
+
+def _complementary_sum(ta: _MinorTable, tb: _MinorTable, alphas) -> Entry:
+    """Sum of (-1)^(|alpha|+|beta|) A[alpha|beta] B[alpha^c|beta^c] over the row
+    sets alpha given and every column set beta of the same size."""
+    n = ta.n
+    total = None
+    for alpha in alphas:
+        ac = _complement(alpha, n)
+        for beta in itertools.combinations(range(n), len(alpha)):
+            major = ta.minor(alpha, beta)
+            if not major:
+                continue
+            term = major * tb.minor(ac, _complement(beta, n))
+            if (sum(alpha) + sum(beta)) % 2:
+                term = -term
+            total = term if total is None else total + term
+    return _coerce_entry(ta.zero if total is None else total)
 
 
 @dataclass(frozen=True)
@@ -311,49 +315,25 @@ def laplace_expand(m: PolyMatrix, rows: IndexSet) -> Entry:
     """
     if rows.n != m.n:
         raise ValueError(f"index set is over ambient dimension {rows.n}, matrix is {m.n}")
-    n = m.n
-    if rows.r == n:
-        return m.det()
-    alpha = rows
-    total = None
-    for beta in IndexSet.all_of_size(alpha.r, n):
-        major = m.submatrix(alpha.zero_based(), beta.zero_based()).det()
-        minor = m.submatrix(
-            alpha.complement().zero_based(), beta.complement().zero_based()
-        ).det()
-        term = major * minor
-        if (alpha.weight + beta.weight) % 2:
-            term = -term
-        total = term if total is None else total + term
-    return total
+    table = _MinorTable(m)
+    return _complementary_sum(table, table, [rows.zero_based()])
 
 
 def markus_expansion(a: PolyMatrix, b: PolyMatrix) -> Entry:
     """det(A+B) via the sum over complementary minor products.
 
-    det(A+B) = det A + det B
-             + sum_{r=1}^{n-1} sum_{alpha,beta} (-1)^{|alpha|+|beta|}
-               det A[alpha|beta] det B[alpha^c|beta^c].
+    det(A+B) = sum_{r=0}^{n} sum_{alpha,beta in Q_{r,n}} (-1)^{|alpha|+|beta|}
+               det A[alpha|beta] det B[alpha^c|beta^c],
+
+    where a zero-size minor is 1, so the r = 0 and r = n terms are det B and det A.
     """
     if a.n != b.n:
         raise ValueError("dimension mismatch")
     n = a.n
     if n < 2:
         raise ValueError("expansion requires dimension >= 2")
-    total = a.det() + b.det()
-    for r in range(1, n):
-        for alpha in IndexSet.all_of_size(r, n):
-            ac = alpha.complement().zero_based()
-            for beta in IndexSet.all_of_size(r, n):
-                major = a.submatrix(alpha.zero_based(), beta.zero_based()).det()
-                if isinstance(major, MultiPoly) and major.is_zero():
-                    continue
-                minor = b.submatrix(ac, beta.complement().zero_based()).det()
-                term = major * minor
-                if (alpha.weight + beta.weight) % 2:
-                    term = -term
-                total = total + term
-    return total
+    alphas = (alpha for r in range(n + 1) for alpha in itertools.combinations(range(n), r))
+    return _complementary_sum(_MinorTable(a), _MinorTable(b), alphas)
 
 
 def _entry_mentions(entry: Entry, var: str) -> bool:
@@ -382,22 +362,12 @@ def coupled_b_expansion(
             if _entry_mentions(e, var):
                 raise ValueError(f"first matrix must not involve the variable {var!r}")
     n = a.n
-    coeffs: list[Entry] = []
-    for r in range(1, n):
-        acc = None
-        for alpha in IndexSet.all_of_size(n - r, n):
-            ac = alpha.complement().zero_based()
-            for beta in IndexSet.all_of_size(n - r, n):
-                major = a.submatrix(alpha.zero_based(), beta.zero_based()).det()
-                if isinstance(major, MultiPoly) and major.is_zero():
-                    continue
-                minor = bpoly.submatrix(ac, beta.complement().zero_based()).det()
-                term = major * minor
-                if (alpha.weight + beta.weight) % 2:
-                    term = -term
-                acc = term if acc is None else acc + term
-        coeffs.append(acc if acc is not None else _zero_like(a.entries[0][0]))
-    return a.det(), coeffs, bpoly.det()
+    ta, tb = _MinorTable(a), _MinorTable(bpoly)
+    det_a, *coeffs, det_b = [
+        _complementary_sum(ta, tb, itertools.combinations(range(n), n - r))
+        for r in range(n + 1)
+    ]
+    return det_a, coeffs, det_b
 
 
 def reassemble_b_expansion(
@@ -435,7 +405,7 @@ class CoupledSystem:
                 f"{self.lambda1.n} and {self.lambda2.n}"
             )
         at_zero = self.coupling.subs({self.var: 0})
-        if any(not _is_zero_entry(e) for row in at_zero.entries for e in row):
+        if any(not e.is_zero() for row in at_zero.entries for e in row):
             raise ValueError(f"coupling must vanish at {self.var}=0")
         g1 = self.lambda1.det()
         g2 = self.lambda2.det()
@@ -452,20 +422,11 @@ class CoupledSystem:
         return _realify(self.full_matrix().det())
 
 
-def _is_zero_entry(e: Entry) -> bool:
-    return e.is_zero()
-
-
 def _realify(e: Entry) -> Entry:
     """Collapse a ComplexPoly with vanishing imaginary part to a MultiPoly."""
     if isinstance(e, ComplexPoly) and e.is_real():
         return e.re
     return e
-
-
-def factorize_coupled(sys: CoupledSystem):
-    """The factorized dispersion data (G1, G2, remainder) of a coupled system."""
-    return sys.g1, sys.g2, sys.remainder
 
 
 # -- matrix text format ----------------------------------------------------------

@@ -280,7 +280,7 @@ def mindlin_radial_matrix(p: MindlinParams) -> PolyMatrix:
     transverse rotation third); entries polynomial in (k, w, b).
     """
     k, w, b = _W("k"), _W("w"), _W("b")
-    f, _ = mindlin_factorized_parts(p)
+    f, _ = mindlin_factorized(p)
     w2, k2 = w * w, k * k
     g = p.rho * p.h**3 * Fraction(1, 12) * w2 - p.D * k2 - b * b * p.h * p.kappa * p.G
     m11 = p.h * (p.rho * w2 - p.kappa * p.G * k2)
@@ -295,7 +295,7 @@ def mindlin_radial_matrix(p: MindlinParams) -> PolyMatrix:
     )
 
 
-def mindlin_factorized_parts(p: MindlinParams) -> tuple[MultiPoly, MultiPoly]:
+def mindlin_factorized(p: MindlinParams) -> tuple[MultiPoly, MultiPoly]:
     """The two factors (f, A) of the dispersion determinant, in (k, w, b).
 
     det of the radial matrix equals h * f * A exactly; f carries the pure
@@ -308,10 +308,6 @@ def mindlin_factorized_parts(p: MindlinParams) -> tuple[MultiPoly, MultiPoly]:
     A = (rot_inertia * w2 - p.D * k2) * (p.rho * w2 - p.kappa * p.G * k2) \
         - b * b * p.kappa * p.G * p.rho * p.h * w2
     return f, A
-
-
-def mindlin_factorized(p: MindlinParams) -> tuple[MultiPoly, MultiPoly]:
-    return mindlin_factorized_parts(p)
 
 
 def mindlin_rotation(kx: float, ky: float) -> np.ndarray:

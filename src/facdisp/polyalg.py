@@ -465,13 +465,13 @@ class ComplexPoly:
     def is_real(self) -> bool:
         return self.im.is_zero()
 
+    def __bool__(self) -> bool:
+        return bool(self.re or self.im)
+
     def as_real(self) -> MultiPoly:
         if not self.im.is_zero():
             raise ValueError(f"polynomial has an imaginary part: {self.im}")
         return self.re
-
-    def conj(self) -> "ComplexPoly":
-        return ComplexPoly(self.re, -self.im)
 
     def __add__(self, other):
         other = self._coerce(other)
@@ -698,9 +698,6 @@ class TruncSeries:
     def is_zero(self, tol: float = 0.0) -> bool:
         """True if all known coefficients vanish (within tol, for float coefficients)."""
         return all(abs(float(c)) <= tol for c in self.terms.values())
-
-    def max_abs_coefficient(self) -> float:
-        return max((abs(float(c)) for c in self.terms.values()), default=0.0)
 
     def evaluate(self, x: float) -> float:
         """Numeric evaluation; x must be positive when fractional or negative exponents occur."""

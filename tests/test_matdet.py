@@ -1,14 +1,16 @@
+import itertools
 import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from facdisp.matdet import (
     CoupledSystem,
     IndexSet,
     PolyMatrix,
     coupled_b_expansion,
-    factorize_coupled,
     format_matrix,
     laplace_expand,
     markus_expansion,
@@ -191,10 +193,10 @@ class TestFactorizeCoupled:
     def test_wing(self):
         from facdisp.models import WingParams, wing_system
 
-        g1, g2, rem = factorize_coupled(wing_system(WingParams()))
-        assert g1 == W**2 - K**2
-        assert g2 == W**2 - K**4
-        assert rem == -(B**2) * K**4 * W**2
+        sys = wing_system(WingParams())
+        assert sys.g1 == W**2 - K**2
+        assert sys.g2 == W**2 - K**4
+        assert sys.remainder == -(B**2) * K**4 * W**2
 
     def test_remainder_vanishes_at_zero_coupling(self):
         from facdisp.models import WingParams, wing_system
@@ -240,3 +242,88 @@ class TestMatrixTextFormat:
     def test_ragged_rejected(self):
         with pytest.raises(ValueError):
             parse_matrix("[1, 2; 3]")
+
+
+# -- property tests against a Leibniz permutation-sum determinant ----------------
+
+def leibniz_det(m: PolyMatrix):
+    """det(m) as the signed sum over permutations, in the entries' own arithmetic."""
+    total = None
+    for perm in itertools.permutations(range(m.n)):
+        term = m[0, perm[0]]
+        for i in range(1, m.n):
+            term = term * m[i, perm[i]]
+        inversions = sum(perm[i] > perm[j] for i in range(m.n) for j in range(i + 1, m.n))
+        if inversions % 2:
+            term = -term
+        total = term if total is None else total + term
+    return total
+
+
+X, Y = MultiPoly.var("x"), MultiPoly.var("y")
+SMALL = st.integers(-4, 4)
+ENTRIES = {
+    "int": SMALL,
+    "frac": st.fractions(min_value=-4, max_value=4, max_denominator=6),
+    "poly": st.builds(lambda c0, c1, c2: c0 + c1 * X + c2 * X * Y, SMALL, SMALL, SMALL),
+    "complex": st.builds(lambda a, b, c: ComplexPoly(a + b * Y, c * X), SMALL, SMALL, SMALL),
+}
+PROPERTY = settings(max_examples=30, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def matrices(draw, n):
+    """An n x n matrix of one entry kind, about a third of its entries planted zeros."""
+    entry = ENTRIES[draw(st.sampled_from(sorted(ENTRIES)))]
+    zero_or_entry = st.one_of(st.just(0), entry, entry)
+    return PolyMatrix([[draw(zero_or_entry) for _ in range(n)] for _ in range(n)])
+
+
+@st.composite
+def matrix(draw):
+    return draw(matrices(draw(st.integers(1, 4))))
+
+
+@st.composite
+def matrix_pair(draw, lo=1):
+    n = draw(st.integers(lo, 4))
+    return draw(matrices(n)), draw(matrices(n))
+
+
+class TestPropertiesAgainstLeibniz:
+    @PROPERTY
+    @given(matrix())
+    def test_det(self, m):
+        assert m.det() == leibniz_det(m)
+
+    @PROPERTY
+    @given(matrix())
+    def test_adjugate_identity(self, m):
+        det_i = PolyMatrix.diagonal([leibniz_det(m)] * m.n)
+        adj = m.adjugate()
+        assert m @ adj == det_i
+        assert adj @ m == det_i
+
+    @PROPERTY
+    @given(matrix())
+    def test_laplace_every_row_set(self, m):
+        det = leibniz_det(m)
+        for r in range(1, m.n + 1):
+            for rows in IndexSet.all_of_size(r, m.n):
+                assert laplace_expand(m, rows) == det
+
+    @PROPERTY
+    @given(matrix_pair(lo=2))
+    def test_markus(self, pair):
+        a, b = pair
+        assert markus_expansion(a, b) == leibniz_det(a + b)
+
+    @PROPERTY
+    @given(matrix_pair(), st.data())
+    def test_coupled_b_expansion(self, pair, data):
+        a, b0 = pair
+        b1 = PolyMatrix([[data.draw(SMALL) for _ in range(a.n)] for _ in range(a.n)])
+        bmat = b0 + b1.scale(B)
+        det_a, coeffs, det_b = coupled_b_expansion(a, bmat)
+        assert len(coeffs) == a.n - 1
+        assert reassemble_b_expansion(det_a, coeffs, det_b) == leibniz_det(a + bmat.scale(B))

@@ -169,6 +169,11 @@ class TestComplexPoly:
         with pytest.raises(ValueError):
             ComplexPoly(W, K).as_real()
 
+    def test_truth_value_is_nonzero(self):
+        assert not ComplexPoly.zero()
+        assert ComplexPoly(0, 1)
+        assert ComplexPoly(W)
+
 
 class TestTruncSeries:
     def test_grid_fields(self):
