@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
 from dataclasses import fields as dc_fields, replace
 from fractions import Fraction
@@ -55,6 +56,8 @@ def _parse_range(text: str) -> tuple[float, float, int]:
     if len(parts) != 3:
         raise argparse.ArgumentTypeError("range must be min:max:steps")
     lo, hi, steps = float(parts[0]), float(parts[1]), int(parts[2])
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise argparse.ArgumentTypeError("range bounds must be finite numbers")
     if steps < 2 or hi <= lo:
         raise argparse.ArgumentTypeError("range needs max > min and at least 2 steps")
     return lo, hi, steps

@@ -2,7 +2,10 @@ import math
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from facdisp import branches
 from facdisp.branches import (
     BranchTrace,
     asymptotic_S_values,
@@ -23,7 +26,10 @@ from facdisp.models import (
     kirchhoff_dispersion,
     mindlin_default_params,
     mindlin_factorized,
+    twt_matrix,
     wing_matrix,
+    MindlinParams,
+    TwtParams,
     WingParams,
 )
 from facdisp.polyalg import MultiPoly, TruncSeries
@@ -74,6 +80,93 @@ class TestRealRoots:
             coeffs = p.univariate_coefficients("w")
             scale = max(abs(float(c)) * abs(r) ** i for i, c in enumerate(coeffs))
             assert abs(p.eval({"w": r})) <= 1e-10 * scale
+
+
+PROPERTY = settings(max_examples=80, deadline=None, derandomize=True, database=None)
+
+
+def sturm_route(p, tol=1e-12):
+    """The exact Sturm route alone, bypassing the certified float estimates."""
+    return branches._exact_roots(branches._trim([F(c) for c in p.univariate_coefficients("w")]), tol)
+
+
+@st.composite
+def planted_poly(draw):
+    """Degree 1-6 products of planted factors: distinct rational, double,
+    conjugate complex, closer than tol, and dyadic grid-point roots, times a
+    scale whose coefficients may overflow or underflow a float."""
+    p = MultiPoly.const(draw(st.sampled_from([F(1), F(-3, 7), F(10) ** 400, F(1, 10**400)])))
+    deg = draw(st.integers(1, 6))
+    roots = draw(st.lists(st.fractions(min_value=-20, max_value=20, max_denominator=60),
+                          min_size=deg, max_size=deg, unique=True))
+    while deg:
+        kind = draw(st.sampled_from(["simple"] * 6 + ["grid"] + ["double", "complex", "close"] * (deg > 1)))
+        r = roots.pop()
+        if kind == "simple":
+            p, deg = p * (W - r), deg - 1
+        elif kind == "grid":
+            p, deg = p * (W - draw(st.sampled_from([F(0), F(1, 2), F(-3, 4)]))), deg - 1
+        elif kind == "double":
+            p, deg = p * (W - r) ** 2, deg - 2
+        elif kind == "complex":
+            s = draw(st.fractions(min_value=F(1, 1000), max_value=10))
+            p, deg = p * ((W - r) ** 2 + s), deg - 2
+        else:
+            gap = draw(st.sampled_from([F(1, 10**13), F(1, 10**15)]))
+            p, deg = p * (W - r) * (W - r - gap), deg - 2
+    return p
+
+
+class TestCertifiedRoots:
+    @PROPERTY
+    @given(planted_poly(), st.sampled_from([1e-12, 1e-14, 2.0**-40]))
+    @example(W * 7 - 3, 2.0**-40)  # the cell width 4 / 2**42 equals tol exactly
+    def test_bit_identical_to_sturm_route(self, p, tol):
+        assert real_roots(p, tol=tol) == sturm_route(p, tol)
+
+    @pytest.mark.parametrize("p, calls", [
+        ((W - F(1, 3)) ** 2 * (W + 2), 1),
+        (mindlin_A(F(1, 10)).subs({"k": 0}), 1),
+        (((W - F(1, 3)) ** 2 + 1) * (W + 2), 1),
+        ((W - F(1, 3)) * (W - F(1, 3) - F(1, 10**14)), 1),
+        ((W - F(1, 2)) * (W + 3), 1),  # 1/2 is on the grid of [-4, 4], the root bound
+        ((W - F(10) ** 160) * (W - F(10) ** 160 - 1), 1),
+        (W**2 - F(1, 10**400), 1),
+        ((W - F(1, 3)) * (W + F(5, 3)) * (W - F(12, 7)) * (W + F(27, 7)), 0),
+    ], ids=["double-root", "plate-k0-double-zero", "complex-pair", "two-roots-one-cell",
+            "grid-point-root", "coefficient-overflow", "coefficient-underflow",
+            "four-separated-roots"])
+    def test_sturm_route_only_as_fallback(self, monkeypatch, p, calls):
+        expected = sturm_route(p)
+        exact, seen = branches._exact_roots, []
+        monkeypatch.setattr(branches, "_exact_roots", lambda c, tol: seen.append(c) or exact(c, tol))
+        assert real_roots(p) == expected
+        assert len(seen) == calls
+
+
+# the polynomials `facdisp model` traces at its default parameters
+_MINDLIN_F, _MINDLIN_A = mindlin_factorized(MindlinParams())
+_CLI_MODELS = {
+    **{f"mindlin-{tag}-b={b}": part.subs({"b": b}) for b in (F(0), F(1, 10), F(1, 5))
+       for tag, part in (("f", _MINDLIN_F), ("A", _MINDLIN_A))},
+    "kirchhoff": kirchhoff_dispersion(1, 1, 1, radial=True),
+    "wing": wing_matrix(WingParams()).det().subs({"b": 1}),
+    "twt": twt_matrix(TwtParams(b=F(1))).det().subs({"b": 1}),
+}
+
+
+class TestRealRootsAgainstSympy:
+    @pytest.mark.parametrize("k", [0.0, 0.05, -0.05, 0.3, -0.3, 1 / 3])
+    @pytest.mark.parametrize("name", sorted(_CLI_MODELS))
+    def test_cli_models(self, name, k):
+        sympy = pytest.importorskip("sympy")
+        pk = _CLI_MODELS[name].subs({"k": F(k)})
+        coeffs = [sympy.Rational(c.numerator, c.denominator)
+                  for c in map(F, reversed(pk.univariate_coefficients("w")))]
+        expected = [float(r.evalf(30)) for r in sympy.Poly(coeffs, sympy.Symbol("w")).real_roots()]
+        got = real_roots(pk)
+        assert len(got) == len(expected)
+        assert got == pytest.approx(expected, abs=1e-12)
 
 
 class TestTraceBranches:

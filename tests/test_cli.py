@@ -1,6 +1,10 @@
 import io
 import math
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 
@@ -88,6 +92,24 @@ class TestModelCommand:
         phi = (math.sqrt(5) + 1) / 2
         assert at1 == pytest.approx([-phi, -(phi - 1), phi - 1, phi], abs=1e-10)
         assert len({r[2] for r in rows}) == 4
+
+
+@pytest.mark.parametrize("argv", [("model", "kirchhoff", "--k-range"),
+                                  ("crosspoint", "--kappa-range")])
+@pytest.mark.parametrize("bounds", ["0:nan:5", "0:inf:5", "-inf:0:5"])
+def test_non_finite_range_is_usage_error(argv, bounds):
+    code, _, err = run_cli(*argv[:-1], f"{argv[-1]}={bounds}")
+    assert code == 2
+    assert "range bounds must be finite" in err
+
+
+def test_python_dash_m_entry_point():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "facdisp", "verify", "crosspoint"],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "1/1 checks passed" in proc.stdout
 
 
 class TestCrosspointCommand:
