@@ -247,9 +247,9 @@ def real_roots(p: MultiPoly, tol: float = 1e-12, var: str | None = None) -> list
     coefficient ratio out of float range) the roots are isolated exactly by Sturm
     sequences on the rationalized coefficients of each squarefree factor and
     refined by bisection to the absolute tolerance.  The zero polynomial and
-    non-positive tolerances are rejected.
+    non-positive or NaN tolerances are rejected.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tolerance must be positive")
     coeffs = _trim([Fraction(x) for x in p.univariate_coefficients(var)])
     if not coeffs:
@@ -327,7 +327,6 @@ def trace_branches(
     tol: float = 1e-12,
     kvar: str = "k",
     wvar: str = "w",
-    metadata: dict | None = None,
 ) -> list[BranchTrace]:
     """Thread the real roots in the frequency variable into continuous branches.
 
@@ -340,7 +339,6 @@ def trace_branches(
         raise ValueError("empty wavenumber grid")
     if any(b <= a for a, b in zip(kgrid, kgrid[1:])):
         raise ValueError("wavenumber grid must be strictly increasing")
-    metadata = dict(metadata or {})
     traces: list[BranchTrace] = []
     active: list[BranchTrace] = []  # kept sorted by their latest frequency
     next_id = 0
@@ -356,7 +354,7 @@ def trace_branches(
             surviving.append(active[i])
         for j, w in enumerate(roots):
             if j not in matched_new:
-                t = BranchTrace(next_id, [(k, w)], dict(metadata))
+                t = BranchTrace(next_id, [(k, w)])
                 next_id += 1
                 traces.append(t)
                 surviving.append(t)

@@ -20,22 +20,14 @@ from dataclasses import fields as dc_fields, replace
 from fractions import Fraction
 from pathlib import Path
 
-from . import builtin_lagrangian_text
+from . import BUILTIN_MODELS, builtin_lagrangian_text
 from .branches import trace_branches
 from .crosspoint import CrossPointData, solve_delta
 from .lagrangian import dispersion_poly, symbol_matrix
 from .lagparse import try_parse_lagrangian
 from .matdet import coupled_b_expansion, parse_matrix, reassemble_b_expansion
 from .mechanalog import OscillatorPair, sweep
-from .models import (
-    MindlinParams,
-    TwtParams,
-    WingParams,
-    kirchhoff_dispersion,
-    mindlin_factorized,
-    twt_matrix,
-    wing_matrix,
-)
+from .models import MODELS
 from .polyalg import format_poly
 from .verify import SUITES, run_suite
 
@@ -67,11 +59,17 @@ def _grid(lo: float, hi: float, steps: int) -> list[float]:
     return [lo + (hi - lo) * i / (steps - 1) for i in range(steps)]
 
 
+# parameter fields that no subcommand reads, with what to do instead
+_UNREAD_PARAMS = {"b": "give coupling values with --b", "p_limit": "sweeps do not enforce it"}
+
+
 def _apply_overrides(params, overrides: list[str]):
     known = {f.name for f in dc_fields(params)}
     values = {}
     for item in overrides:
         name, _, value = item.partition("=")
+        if name in _UNREAD_PARAMS:
+            raise SystemExit2(f"--param {name} is not read; {_UNREAD_PARAMS[name]}")
         if not value or name not in known:
             raise SystemExit2(f"unknown or malformed parameter override {item!r}")
         values[name] = _parse_fraction(value)
@@ -97,7 +95,7 @@ def _write_csv(path: str | None, header: list[str], rows: list[list]):
 
 
 def cmd_lagrangian(args) -> int:
-    if args.file in ("wing", "twt", "kirchhoff", "mindlin", "crosspoint", "wave"):
+    if args.file in BUILTIN_MODELS:
         text = builtin_lagrangian_text(args.file)
     else:
         text = Path(args.file).read_text()
@@ -121,58 +119,20 @@ def cmd_lagrangian(args) -> int:
     return 0
 
 
-def _model_traces(name: str, params, b_values, kgrid):
-    """(branch_tag, b, trace) triples for one model."""
-    out = []
-    for b in b_values:
-        bb = Fraction(b)
-        if name == "kirchhoff":
-            disp = kirchhoff_dispersion(params["rho"], params["h"], params["D"], radial=True)
-            parts = [("", disp)]
-        elif name == "wing":
-            parts = [("", wing_matrix(params).det().subs({"b": bb}))]
-        elif name == "twt":
-            if bb == 0:
-                raise SystemExit2("the twt model is degenerate at b = 0; use b > 0")
-            parts = [("", twt_matrix(replace(params, b=bb)).det().subs({"b": bb}))]
-        elif name == "mindlin":
-            f, A = mindlin_factorized(params)
-            parts = [("f", f.subs({"b": bb})), ("A", A.subs({"b": bb}))]
-        else:
-            raise SystemExit2(f"unknown model {name!r}")
-        for tag, disp in parts:
-            traces = trace_branches(disp, kgrid, metadata={"model": name, "b": float(bb)})
-            for t in traces:
-                out.append((f"{tag}{t.branch_id}" if tag else str(t.branch_id), float(bb), t))
-    return out
-
-
 def cmd_model(args) -> int:
-    name = args.name
-    defaults = {
-        "mindlin": (MindlinParams(), [Fraction(0), Fraction(1, 10), Fraction(1, 5)]),
-        "kirchhoff": ({"rho": Fraction(1), "h": Fraction(1), "D": Fraction(1)}, [Fraction(0)]),
-        "wing": (WingParams(), [Fraction(1)]),
-        "twt": (TwtParams(), [Fraction(1)]),
-    }
-    if name not in defaults:
-        raise SystemExit2(f"unknown model {name!r}; choose from {sorted(defaults)}")
-    params, b_default = defaults[name]
-    if args.param:
-        if isinstance(params, dict):
-            for item in args.param:
-                key, _, value = item.partition("=")
-                if not value or key not in params:
-                    raise SystemExit2(f"unknown or malformed parameter override {item!r}")
-                params[key] = _parse_fraction(value)
-        else:
-            params = _apply_overrides(params, args.param)
-    b_values = [Fraction(b) for b in args.b] if args.b else b_default
-    lo, hi, steps = args.k_range
+    model = MODELS.get(args.name)
+    if model is None:
+        raise SystemExit2(f"unknown model {args.name!r}; choose from {sorted(MODELS)}")
+    params = _apply_overrides(model.params(), args.param)
+    kgrid = _grid(*args.k_range)
     rows = []
-    for tag, b, t in _model_traces(name, params, b_values, _grid(lo, hi, steps)):
-        for k, w in t.samples:
-            rows.append((b, tag, k, [_fmt(k), _fmt(w), tag, _fmt(b), name]))
+    for b in args.b or model.b_values:
+        fb = float(b)
+        for tag, disp in model.factors(params, b):
+            for t in trace_branches(disp, kgrid):
+                branch = f"{tag}{t.branch_id}"
+                for k, w in t.samples:
+                    rows.append((fb, branch, k, [_fmt(k), _fmt(w), branch, _fmt(fb), args.name]))
     rows.sort(key=lambda r: (r[0], r[1], r[2]))
     _write_csv(args.out, ["k", "omega", "branch", "b", "model"], [r[3] for r in rows])
     return 0
@@ -180,9 +140,8 @@ def cmd_model(args) -> int:
 
 def cmd_crosspoint(args) -> int:
     cp = CrossPointData.from_normalized(args.g1, args.g2, args.gamma, args.ggamma)
-    lo, hi, steps = args.kappa_range
     rows = []
-    for kappa in _grid(lo, hi, steps):
+    for kappa in _grid(*args.kappa_range):
         roots = solve_delta(cp, kappa)
         if roots is None:
             continue
@@ -194,11 +153,8 @@ def cmd_crosspoint(args) -> int:
 
 
 def cmd_mech(args) -> int:
-    params = OscillatorPair()
-    if args.param:
-        params = _apply_overrides(params, args.param)
-    b_values = [Fraction(b) for b in args.b] if args.b else \
-        [Fraction(0), Fraction(1, 5), Fraction(2, 5), Fraction(3, 5)]
+    params = _apply_overrides(OscillatorPair(), args.param)
+    b_values = args.b or [Fraction(0), Fraction(1, 5), Fraction(2, 5), Fraction(3, 5)]
     pgrid = _grid(args.p_min, args.p_max, args.p_steps)
     rows = []
     for t in sweep(params, pgrid, b_values):
@@ -256,12 +212,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("lagrangian", help="compile a .lag file (or a builtin name)")
-    p.add_argument("file", help=".lag path or builtin: wing|twt|kirchhoff|mindlin|crosspoint|wave")
+    p.add_argument("file", help=".lag path or builtin: " + "|".join(BUILTIN_MODELS))
     p.add_argument("--emit", choices=("matrix", "dispersion"), default="matrix")
     p.set_defaults(handler=cmd_lagrangian)
 
     p = sub.add_parser("model", help="trace dispersion branches of a builtin model to CSV")
-    p.add_argument("name", help="twt|wing|mindlin|kirchhoff")
+    p.add_argument("name", help="|".join(MODELS))
     p.add_argument("--b", action="append", type=_parse_fraction,
                    help="coupling amplitude (repeatable)")
     p.add_argument("--k-range", type=_parse_range, default=(-0.3, 0.3, 601),
@@ -309,11 +265,8 @@ def main(argv=None) -> int:
         return exc.code if exc.code is not None else 2
     try:
         return args.handler(args)
-    except SystemExit2 as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        # invalid parameter values surface here (e.g. a non-positive mass)
+    except (SystemExit2, argparse.ArgumentTypeError, ValueError) as exc:
+        # invalid parameter values surface here too (a non-rational override, a non-positive mass)
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except (OSError, KeyError) as exc:

@@ -32,7 +32,7 @@ from .polyalg import MultiPoly
 _RESERVED_PARAMS = {FREQUENCY_VAR, "k", "kx", "ky", "kz"}
 
 _NAME = re.compile(r"[A-Za-z_]\w*$")
-_RATIONAL = re.compile(r"[+-]?\d+(/\d+)?$")
+_RATIONAL = re.compile(r"[+-]?\d+(/0*[1-9]\d*)?$")  # no zero denominator
 _DERIV = re.compile(r"d([txyz]*)\((\w+)\)$")
 
 

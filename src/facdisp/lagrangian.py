@@ -218,13 +218,6 @@ class SymbolMatrix:
     def is_hermitian(self) -> bool:
         return self.matrix.is_hermitian()
 
-    def real_matrix(self) -> PolyMatrix:
-        """The matrix as real polynomials; raises if any entry has an imaginary part."""
-        rows = []
-        for i in range(self.n):
-            rows.append([self.entry(i, j).as_real() for j in range(self.n)])
-        return PolyMatrix(rows)
-
     def determinant(self) -> MultiPoly:
         det = self.matrix.det()
         if isinstance(det, ComplexPoly):

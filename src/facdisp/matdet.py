@@ -129,11 +129,6 @@ class PolyMatrix:
             rows.append(row)
         return PolyMatrix(rows)
 
-    def transpose(self) -> "PolyMatrix":
-        return PolyMatrix(
-            [[self.entries[j][i] for j in range(self.n)] for i in range(self.n)]
-        )
-
     def trace(self) -> Entry:
         acc = self.entries[0][0]
         for i in range(1, self.n):

@@ -5,13 +5,15 @@ shear-deformable (Mindlin-Reissner) plate, and the classical Kirchhoff plate.
 All matrices are exact: parameters are rationals, the coupling amplitude `b`
 is a polynomial variable, and identities are checked as polynomial identities.
 Frequency is the variable `w`; wavenumbers are `k` (radial / 1D) or `kx, ky`.
+`MODELS` records what `facdisp model` traces for each of the four.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from typing import Callable
 
 import numpy as np
 
@@ -238,9 +240,6 @@ class MindlinParams:
             raise ValueError("inconsistent D and E: D must equal E h^3/(12(1-nu^2))")
         object.__setattr__(self, "D", D)
 
-    def with_b(self, b: NumberLike) -> "MindlinParams":
-        return MindlinParams(self.rho, self.h, self.D, self.nu, self.kappa, self.G, b, self.E)
-
 
 def mindlin_default_params(b: NumberLike = 0) -> MindlinParams:
     """The reference data set: rho = h = D = kappa = G = 1, nu = 1/2."""
@@ -386,6 +385,15 @@ def f_branch_speed(p: MindlinParams, k: float) -> float:
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class KirchhoffParams:
+    """Density, thickness and flexural rigidity; `kirchhoff_dispersion` checks them."""
+
+    rho: Fraction = Fraction(1)
+    h: Fraction = Fraction(1)
+    D: Fraction = Fraction(1)
+
+
 def kirchhoff_dispersion(
     rho: NumberLike, h: NumberLike, D: NumberLike, radial: bool = False
 ) -> MultiPoly:
@@ -399,3 +407,35 @@ def kirchhoff_dispersion(
     else:
         ksq = _W("kx") ** 2 + _W("ky") ** 2
     return rho * h * w * w - D * ksq * ksq
+
+
+# ---------------------------------------------------------------------------
+# model registry
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Model:
+    """What `facdisp model` traces for one reference system.
+
+    `params` is the parameter dataclass, whose defaults are the reference data;
+    `b_values` are the default coupling amplitudes; `factors(params, b)` gives
+    the tagged polynomials in (k, w) whose real roots are traced at one b.
+    """
+
+    params: type
+    b_values: tuple[Fraction, ...]
+    factors: Callable[..., list[tuple[str, MultiPoly]]]
+
+
+MODELS: dict[str, Model] = {
+    "twt": Model(TwtParams, (Fraction(1),),
+                 lambda p, b: [("", twt_matrix(replace(p, b=b)).det().subs({"b": b}))]),
+    "wing": Model(WingParams, (Fraction(1),),
+                  lambda p, b: [("", wing_matrix(p).det().subs({"b": b}))]),
+    "mindlin": Model(MindlinParams, (Fraction(0), Fraction(1, 10), Fraction(1, 5)),
+                     lambda p, b: [(tag, f.subs({"b": b}))
+                                   for tag, f in zip("fA", mindlin_factorized(p))]),
+    "kirchhoff": Model(KirchhoffParams, (Fraction(0),),
+                       lambda p, b: [("", kirchhoff_dispersion(p.rho, p.h, p.D, radial=True))]),
+}

@@ -137,17 +137,6 @@ class MultiPoly:
             raise ValueError("polynomial is not constant")
         return self.terms.get((), Fraction(0))
 
-    def degree(self, var: str | None = None) -> int:
-        """Total degree, or degree in one variable.  Degree of the zero polynomial is -1."""
-        if not self.terms:
-            return -1
-        if var is None:
-            return max(sum(e) for e in self.terms)
-        if var not in self.variables:
-            return 0
-        i = self.variables.index(var)
-        return max(e[i] for e in self.terms)
-
     def coefficient(self, var: str, power: int) -> "MultiPoly":
         """The coefficient of var**power, as a polynomial in the remaining variables."""
         if var not in self.variables:
@@ -391,7 +380,10 @@ def parse_poly(text: str) -> MultiPoly:
     def parse_factor() -> MultiPoly:
         kind, val = take()
         if kind == "num":
-            base = MultiPoly.const(Fraction(val))
+            try:
+                base = MultiPoly.const(Fraction(val))
+            except ZeroDivisionError:
+                raise ValueError(f"zero denominator in numeric literal {val!r}") from None
         elif kind == "name":
             base = MultiPoly.var(val)
         elif (kind, val) == ("op", "("):

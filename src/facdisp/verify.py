@@ -82,11 +82,6 @@ class CheckResult:
     passed: bool
     detail: str = ""
 
-    def line(self) -> str:
-        status = "PASS" if self.passed else "FAIL"
-        tail = f"  ({self.detail})" if self.detail else ""
-        return f"{status}  {self.name}{tail}"
-
 
 def _rand_int_matrix(rng: random.Random, n: int, lo=-9, hi=9) -> PolyMatrix:
     return PolyMatrix([[rng.randint(lo, hi) for _ in range(n)] for _ in range(n)])

@@ -23,13 +23,11 @@ from facdisp.branches import (
     upper_series,
 )
 from facdisp.models import (
+    MODELS,
     kirchhoff_dispersion,
     mindlin_default_params,
     mindlin_factorized,
-    twt_matrix,
     wing_matrix,
-    MindlinParams,
-    TwtParams,
     WingParams,
 )
 from facdisp.polyalg import MultiPoly, TruncSeries
@@ -72,6 +70,8 @@ class TestRealRoots:
     def test_bad_tolerance_rejected(self):
         with pytest.raises(ValueError):
             real_roots(W**2 - 1, tol=0)
+        with pytest.raises(ValueError, match="tolerance must be positive"):
+            real_roots(7 * W - 3, tol=float("nan"))
 
     def test_root_containment(self):
         # every reported root satisfies the polynomial to local scale
@@ -144,14 +144,13 @@ class TestCertifiedRoots:
         assert len(seen) == calls
 
 
-# the polynomials `facdisp model` traces at its default parameters
-_MINDLIN_F, _MINDLIN_A = mindlin_factorized(MindlinParams())
+# the polynomials `facdisp model` traces at its default parameters, keyed
+# model[-tag][-b=...] (the b only where a model has several default values)
 _CLI_MODELS = {
-    **{f"mindlin-{tag}-b={b}": part.subs({"b": b}) for b in (F(0), F(1, 10), F(1, 5))
-       for tag, part in (("f", _MINDLIN_F), ("A", _MINDLIN_A))},
-    "kirchhoff": kirchhoff_dispersion(1, 1, 1, radial=True),
-    "wing": wing_matrix(WingParams()).det().subs({"b": 1}),
-    "twt": twt_matrix(TwtParams(b=F(1))).det().subs({"b": 1}),
+    "-".join(filter(None, (name, tag, f"b={b}" if len(model.b_values) > 1 else ""))): poly
+    for name, model in MODELS.items()
+    for b in model.b_values
+    for tag, poly in model.factors(model.params(), b)
 }
 
 
