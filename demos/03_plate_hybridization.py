@@ -28,9 +28,9 @@ print(f"{'b':>5} {'cutoff w0':>12} {'curvature c1':>14} {'w(k=0.01)':>12}")
 for btext in ("0.05", "0.1", "0.2"):
     p = mindlin_default_params(b=F(btext))
     _, A = mindlin_factorized(p)
-    lower = lower_series(p)
+    c1, _, _ = lower_series(p)
     roots = [r for r in real_roots(A.subs({"b": p.b, "k": F(1, 100)})) if r > 0]
-    print(f"{btext:>5} {cutoff_frequency(p):12.6f} {float(lower.values[0]):14.4f}"
+    print(f"{btext:>5} {cutoff_frequency(p):12.6f} {float(c1):14.4f}"
           f" {min(roots):12.3e}")
 print()
 print("larger coupling lifts the upper branches higher and opens the pinned")
@@ -38,19 +38,20 @@ print("parabola more slowly: hybridization grows with b near the origin.")
 
 p = mindlin_default_params(b=F(1, 10))
 _, A = mindlin_factorized(p)
-upper = upper_series(p)
 print()
 print("series expansions at b = 0.1:")
 print("  pinned branch  w =", " + ".join(
-    f"({float(c):+.5g}) k^{2*(i+1)}" for i, c in enumerate(lower_series(p).values)))
+    f"({float(c):+.5g}) k^{2*(i+1)}" for i, c in enumerate(lower_series(p))))
 print("  lifted branch  w =", " + ".join(
-    f"({float(c):+.5g}) k^{2*i}" for i, c in enumerate(upper.values)))
+    f"({float(c):+.5g}) k^{2*i}" for i, c in enumerate(upper_series(p))))
 
-# the Laurent analysis of S = k^2/w^2 shows both modes in every coefficient
-splus = laurent_S(p, +1)
+# the Laurent analysis of S = k^2/w^2 shows both modes in every coefficient;
+# w*S_+ is a polynomial, exact through w^5
+wsplus = laurent_S(p, +1)
 print()
-print("S_+ series:", splus)
-print("substituted into its quadratic:", laurent_quadratic_residual(p, splus))
+print("w*S_+ series:", wsplus, "+ O(w^6)")
+print("substituted into w^2 times its quadratic:",
+      laurent_quadratic_residual(p, wsplus), "+ O(w^6)")
 
 # large-k recovery
 s1, s2 = asymptotic_slopes(p)

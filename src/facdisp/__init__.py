@@ -11,10 +11,8 @@ from .polyalg import (
     ComplexPoly,
     MultiPoly,
     Rational,
-    TruncSeries,
     format_poly,
     parse_poly,
-    series_substitute,
     sqrt_exact,
 )
 from .matdet import (
@@ -69,7 +67,6 @@ __all__ = [
     "QuadraticLagrangian",
     "Rational",
     "SymbolMatrix",
-    "TruncSeries",
     "branches",
     "builtin_lagrangian_text",
     "coupled_b_expansion",
@@ -87,7 +84,6 @@ __all__ = [
     "parse_poly",
     "reassemble_b_expansion",
     "render_lagrangian",
-    "series_substitute",
     "sqrt_exact",
     "symbol_matrix",
     "symmetrize",

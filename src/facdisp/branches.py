@@ -1,8 +1,9 @@
 """Numerical dispersion-branch machinery: real-root isolation (float
 estimates certified by exact signs, with exact Sturm isolation as the
 fallback), branch tracing by nearest-neighbor continuity, the closed-form
-small-k branch expansions of the coupled plate model, the small-frequency
-Laurent analysis, and log-log residual-order estimation.
+small-k branch expansions of the coupled plate model as coefficient tuples,
+the small-frequency Laurent analysis of S = k^2/w^2 as the polynomial w*S,
+and log-log residual-order estimation.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from .models import MindlinParams
-from .polyalg import MultiPoly, TruncSeries, sqrt_exact
+from .polyalg import MultiPoly, sqrt_exact
 
 # numpy is first loaded by .models; importing it ahead of that reorders the
 # package's imports, which (with bytecode compiled at import) left 0.4 MiB
@@ -165,10 +166,19 @@ def _isolate_squarefree(c: list[Fraction]):
     return [float(r) for r in exact], intervals
 
 
+def _halvings(width: int, den: int, tol: float) -> int:
+    """Least n >= 0 with width / (den * 2**n) <= tol, in exact integers: as a
+    float the quotient overflows for huge root bounds."""
+    if math.isinf(tol):
+        return 0
+    tn, td = tol.as_integer_ratio()
+    return (-(-width * td // (tn * den)) - 1).bit_length()
+
+
 def _refine(ic: list[int], a: int, b: int, den: int, tol: float) -> float:
     """Bisection inside (a/den, b/den); endpoint signs are nonzero and opposite."""
     sa = _sign_at(ic, a, den)
-    while (b - a) / den > tol:
+    for _ in range(_halvings(b - a, den, tol)):
         mid = a + b
         a, b, den = a * 2, b * 2, den * 2
         sm = _sign_at(ic, mid, den)
@@ -217,11 +227,7 @@ def _certified_roots(coeffs: list[Fraction], tol: float) -> list[float] | None:
         return None
     bound = _root_bound(ic)
     width = 2 * bound  # every cell's width in units of 1/den
-    # log2 only starts the search; the loop applies _refine's own float test
-    level = max(0, math.floor(math.log2(width) - math.log2(tol)) - 2) if math.isfinite(tol) else 0
-    while width / 2**level > tol:
-        level += 1
-    den = 2**level
+    den = 2 ** _halvings(width, 1, tol)  # the level where `_refine` stops
     cells = set()
     for x in est.tolist():
         num, q = x.as_integer_ratio()
@@ -369,38 +375,16 @@ def trace_branches(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SeriesCoeffs:
-    """Closed-form expansion coefficients of a branch near k=0.
-
-    kind="lower": omega = c1 k^2 + c2 k^4 + c3 k^6 + O(k^8), values (c1,c2,c3).
-    kind="upper": omega = w0 + d1 k^2 + d2 k^4 + O(k^6), values (w0,d1,d2).
-    Values are exact Fractions when the square roots involved are rational,
-    floats otherwise.
-    """
-
-    kind: str
-    values: tuple
-    params: MindlinParams
-
-    def as_series(self, var: str = "k") -> TruncSeries:
-        if self.kind == "lower":
-            c1, c2, c3 = self.values
-            return TruncSeries(var, {2: c1, 4: c2, 6: c3}, order=8)
-        w0, d1, d2 = self.values
-        return TruncSeries(var, {0: w0, 2: d1, 4: d2}, order=6)
-
-    def evaluate(self, k: float) -> float:
-        return self.as_series().evaluate(k)
-
-
 def _sqrt_maybe(x: Fraction):
     r = sqrt_exact(x)
     return r if r is not None else math.sqrt(x)
 
 
-def lower_series(p: MindlinParams) -> SeriesCoeffs:
-    """Coefficients of the pinned parabolic branch: all proportional to sqrt(D/(rho h))."""
+def lower_series(p: MindlinParams) -> tuple:
+    """Coefficients (c1, c2, c3) of the pinned parabolic branch
+    omega = c1 k^2 + c2 k^4 + c3 k^6 + O(k^8), all proportional to
+    sqrt(D/(rho h)): exact Fractions when that root is rational, else floats.
+    """
     if p.b <= 0:
         raise ValueError("the branch expansion is singular at b = 0")
     rho, h, D, kG, b = p.rho, p.h, p.D, p.kappa * p.G, p.b
@@ -408,11 +392,15 @@ def lower_series(p: MindlinParams) -> SeriesCoeffs:
     c1 = s / b
     c2 = -(12 * D + kG * h**3) / (24 * kG * b**3 * h) * s
     c3 = (4 * D + kG * h**3) * (36 * D + kG * h**3) / (384 * kG**2 * b**5 * h**2) * s
-    return SeriesCoeffs("lower", (c1, c2, c3), p)
+    return c1, c2, c3
 
 
-def upper_series(p: MindlinParams) -> SeriesCoeffs:
-    """Coefficients of the lifted branch starting at the cutoff frequency w0."""
+def upper_series(p: MindlinParams) -> tuple:
+    """Coefficients (w0, d1, d2) of the lifted branch
+    omega = w0 + d1 k^2 + d2 k^4 + O(k^6) above the cutoff frequency w0, all
+    proportional to sqrt(3/(kappa G rho)): exact Fractions when that root is
+    rational, else floats.
+    """
     if p.b <= 0:
         raise ValueError("the branch expansion is singular at b = 0")
     rho, h, D, kG, b = p.rho, p.h, p.D, p.kappa * p.G, p.b
@@ -420,7 +408,7 @@ def upper_series(p: MindlinParams) -> SeriesCoeffs:
     w0 = 2 * b * kG / h * t
     d1 = (D + kG * h**3 / 12) / (b * h**2) * t
     d2 = -(144 * D**2 + 72 * D * kG * h**3 + kG**2 * h**6) / (576 * kG * b**3 * h**3) * t
-    return SeriesCoeffs("upper", (w0, d1, d2), p)
+    return w0, d1, d2
 
 
 def cutoff_frequency(p: MindlinParams) -> float:
@@ -441,49 +429,48 @@ def laurent_PQR(p: MindlinParams):
     return P, Q, R
 
 
-_LAURENT_MAX_ORDER = 5  # the omega^4 coefficient vanishes; omega^5 is the first unknown
+def laurent_S(p: MindlinParams, sign: int) -> MultiPoly:
+    """w * S_+/-(w) for one root S_+/- of the quadratic in S = k^2/w^2.
 
-
-def laurent_S(p: MindlinParams, sign: int, order: int = _LAURENT_MAX_ORDER) -> TruncSeries:
-    """Truncated series of one root S_+/- of the quadratic in S = k^2/omega^2.
-
-    Terms: +-R/(2 kappa G D) * 1/w, P/(2 kappa G D), +-Q^2/(4 kappa G D R) * w,
-    -+Q^4/(16 kappa G D R^3) * w^3; restricted to w > 0 (the dispersion
-    polynomials are even in the frequency).  Apart from the constant the
-    expansion is odd, so the w^4 coefficient is an exact zero and the default
-    truncation order 5 is the best supported by the printed terms.
+    Multiplying by w clears the pole of S, so the series is a polynomial in w:
+    +-R/(2 kappa G D) + P/(2 kappa G D) w + +-Q^2/(4 kappa G D R) w^2
+    -+ Q^4/(16 kappa G D R^3) w^4, exact through w^5 (the w^3 and w^5
+    coefficients are exact zeros); restricted to w > 0 (the dispersion
+    polynomials are even in the frequency).  When D*rho*h is not a rational
+    square, R is a float and the series only approximates w*S.
     """
     if p.b <= 0:
         raise ValueError("the Laurent series is singular at b = 0")
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    if order > _LAURENT_MAX_ORDER:
-        raise ValueError(
-            f"requested order {order} exceeds achievable order {_LAURENT_MAX_ORDER}"
-        )
     P, Q, R = laurent_PQR(p)
     kGD = p.kappa * p.G * p.D
-    terms = {
-        Fraction(-1): sign * R / (2 * kGD),
-        Fraction(0): P / (2 * kGD),
-        Fraction(1): sign * Q**2 / (4 * kGD * R),
-        Fraction(3): -sign * Q**4 / (16 * kGD * R**3),
+    coeffs = {
+        (0,): sign * R / (2 * kGD),
+        (1,): P / (2 * kGD),
+        (2,): sign * Q**2 / (4 * kGD * R),
+        (4,): -sign * Q**4 / (16 * kGD * R**3),
     }
-    return TruncSeries("w", terms, order=order)
+    return MultiPoly(("w",), coeffs)
 
 
-def laurent_quadratic_residual(p: MindlinParams, s: TruncSeries) -> TruncSeries:
-    """Substitute an S-series into the defining quadratic; zero up to truncation order.
+def laurent_quadratic_residual(p: MindlinParams, ws: MultiPoly) -> MultiPoly:
+    """Substitute ws = w*S into w^2 times the defining quadratic of S.
 
-    The quadratic is kappa*G*D*S^2 - P*S + rho^2 h^3/12 - b^2 kappa G rho h / w^2.
+    That is kappa*G*D*ws^2 - P*w*ws + rho^2 h^3/12 w^2 - b^2 kappa G rho h.
+    Only the terms in w^0..w^5 are kept, the powers `laurent_S` knows, so
+    the result is zero when ws is a root through that order.
     """
     P, _, _ = laurent_PQR(p)
-    kGD = p.kappa * p.G * p.D
-    const = TruncSeries(s.variable, {Fraction(0): Fraction(p.rho**2 * p.h**3, 12)}, None)
-    coupling = TruncSeries(
-        s.variable, {Fraction(-2): -(p.b**2) * p.kappa * p.G * p.rho * p.h}, None
+    w = MultiPoly.var("w")
+    full = (
+        ws * ws * (p.kappa * p.G * p.D)
+        - w * ws * P
+        + w * w * (p.rho**2 * p.h**3 / 12)
+        - p.b**2 * p.kappa * p.G * p.rho * p.h
     )
-    return s * s * kGD - s * P + const + coupling
+    known = full.univariate_coefficients("w")[:6]
+    return MultiPoly(("w",), {(j,): c for j, c in enumerate(known)})
 
 
 def asymptotic_slopes(p: MindlinParams) -> tuple[float, float]:

@@ -43,16 +43,26 @@ def _parse_fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from exc
 
 
-def _parse_range(text: str) -> tuple[float, float, int]:
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError("range must be min:max:steps")
-    lo, hi, steps = float(parts[0]), float(parts[1]), int(parts[2])
+def _finite(text: str) -> float:
+    x = float(text)
+    if not math.isfinite(x):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return x
+
+
+def _check_range(lo: float, hi: float, steps: int) -> tuple[float, float, int]:
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise argparse.ArgumentTypeError("range bounds must be finite numbers")
     if steps < 2 or hi <= lo:
         raise argparse.ArgumentTypeError("range needs max > min and at least 2 steps")
     return lo, hi, steps
+
+
+def _parse_range(text: str) -> tuple[float, float, int]:
+    parts = text.split(":")
+    if len(parts) != 3:
+        raise argparse.ArgumentTypeError("range must be min:max:steps")
+    return _check_range(float(parts[0]), float(parts[1]), int(parts[2]))
 
 
 def _grid(lo: float, hi: float, steps: int) -> list[float]:
@@ -155,7 +165,7 @@ def cmd_crosspoint(args) -> int:
 def cmd_mech(args) -> int:
     params = _apply_overrides(OscillatorPair(), args.param)
     b_values = args.b or [Fraction(0), Fraction(1, 5), Fraction(2, 5), Fraction(3, 5)]
-    pgrid = _grid(args.p_min, args.p_max, args.p_steps)
+    pgrid = _grid(*_check_range(args.p_min, args.p_max, args.p_steps))
     rows = []
     for t in sweep(params, pgrid, b_values):
         tag = t.metadata["branch"]
@@ -227,10 +237,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_model)
 
     p = sub.add_parser("crosspoint", help="local crossing-model branches to CSV")
-    p.add_argument("--g1", type=float, default=1.0)
-    p.add_argument("--g2", type=float, default=10.0)
-    p.add_argument("--gamma", type=float, default=0.4)
-    p.add_argument("--ggamma", type=float, default=1.0)
+    p.add_argument("--g1", type=_finite, default=1.0)
+    p.add_argument("--g2", type=_finite, default=10.0)
+    p.add_argument("--gamma", type=_finite, default=0.4)
+    p.add_argument("--ggamma", type=_finite, default=1.0)
     p.add_argument("--kappa-range", type=_parse_range, default=(-3.0, 3.0, 601),
                    metavar="MIN:MAX:STEPS")
     p.add_argument("--out")

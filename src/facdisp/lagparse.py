@@ -65,7 +65,9 @@ class _Parser:
         self.dim: int | None = None
         self.fields: list[str] = []
         self.params: dict[str, Fraction] = {}
+        self.rejected: set[str] = set()  # names whose 'param' line has a diagnostic
         self.coupling: str | None = None
+        self.coupling_at = (1, 1)
         self.terms: list[tuple] = []  # (coef MultiPoly, f1, axes1, f2, axes2)
 
     def error(self, line: int, col: int, message: str):
@@ -91,8 +93,8 @@ class _Parser:
                 self.parse_term(lineno, col, rest)
             else:
                 self.error(lineno, col, f"unknown directive {head!r}")
-        if self.coupling is not None and self.coupling not in self.params:
-            self.error(1, 1, f"coupling parameter {self.coupling!r} is not declared")
+        if self.coupling is not None and self.coupling not in {*self.params, *self.rejected}:
+            self.error(*self.coupling_at, f"coupling parameter {self.coupling!r} is not declared")
         if self.dim is None:
             self.error(1, 1, "missing 'dim' declaration")
 
@@ -100,7 +102,7 @@ class _Parser:
         if self.dim is not None:
             self.error(lineno, col, "duplicate 'dim' declaration")
             return
-        if len(rest) != 1 or not rest[0][0].isdigit():
+        if len(rest) != 1 or not rest[0][0].isdecimal():
             self.error(lineno, col, "'dim' expects one non-negative integer")
             return
         value = int(rest[0][0])
@@ -130,12 +132,14 @@ class _Parser:
             self.error(
                 lineno, c1, f"parameter name {name!r} is reserved for the symbol variables"
             )
+            self.rejected.add(name)
             return
         if name in self.params:
             self.error(lineno, c1, f"duplicate parameter declaration {name!r}")
             return
         if not _RATIONAL.match(value):
             self.error(lineno, c2, f"numeric literal {value!r} is not a rational")
+            self.rejected.add(name)
             return
         self.params[name] = Fraction(value)
 
@@ -143,7 +147,8 @@ class _Parser:
         if len(rest) != 1:
             self.error(lineno, col, "'coupling' expects one parameter name")
             return
-        self.coupling = rest[0][0]
+        self.coupling, col = rest[0]
+        self.coupling_at = (lineno, col)
 
     def parse_term(self, lineno, col, rest):
         if len(rest) < 3:
@@ -186,7 +191,8 @@ class _Parser:
                 continue
             name, power = m.group(1), int(m.group(2) or 1)
             if name not in self.params:
-                self.error(lineno, fcol, f"parameter {name!r} used before declaration")
+                if name not in self.rejected:
+                    self.error(lineno, fcol, f"parameter {name!r} used before declaration")
                 ok = False
                 continue
             if power < 0:

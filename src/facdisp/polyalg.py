@@ -1,10 +1,9 @@
-"""Exact multivariate polynomial arithmetic over big rationals, plus truncated
-generalized power series (Laurent/Puiseux) with a fixed rational exponent step.
+"""Exact multivariate polynomial arithmetic over big rationals.
 
 All coefficients are `fractions.Fraction`; floating point enters only at the
 evaluation boundary.  `MultiPoly` is the carrier for every dispersion function
-in this package; `TruncSeries` carries the small-|omega| Laurent expansions and
-the even-power Puiseux branch expansions used by the asymptotics.
+in this package, and for the truncated series of the asymptotics too: a
+series known through some power is kept as the polynomial of its known terms.
 """
 
 from __future__ import annotations
@@ -513,256 +512,3 @@ class ComplexPoly:
         return f"({self.re}) + i*({self.im})"
 
     __repr__ = __str__
-
-
-SeriesCoefficient = Union[Fraction, float]
-
-
-def _frac_gcd(a: Fraction, b: Fraction) -> Fraction:
-    return Fraction(math.gcd(a.numerator, b.numerator), math.lcm(a.denominator, b.denominator))
-
-
-class TruncSeries:
-    """Truncated generalized power series sum c_e * x**e with rational exponents.
-
-    Stored exponents lie on a grid base + n*step (step > 0 rational); Laurent
-    terms use a negative base, Puiseux branches a fractional or even step.
-    `order` is the truncation order: terms with exponent >= order are unknown
-    and dropped.  order=None marks an exact (untruncated) series.  Coefficients
-    may be Fractions or floats; exact zeros are not stored.
-    """
-
-    __slots__ = ("variable", "terms", "order")
-
-    def __init__(
-        self,
-        variable: str,
-        terms: Mapping[NumberLike, SeriesCoefficient],
-        order: NumberLike | None = None,
-    ):
-        _check_varname(variable)
-        order_f = None if order is None else Fraction(order)
-        clean: dict[Fraction, SeriesCoefficient] = {}
-        for e, c in terms.items():
-            e = Fraction(e)
-            if order_f is not None and e >= order_f:
-                continue
-            if not isinstance(c, float):
-                c = as_fraction(c)
-            if c:
-                clean[e] = c
-        object.__setattr__(self, "variable", variable)
-        object.__setattr__(self, "terms", clean)
-        object.__setattr__(self, "order", order_f)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TruncSeries is immutable")
-
-    # -- declared grid representation ------------------------------------------
-
-    @property
-    def base(self) -> Fraction:
-        return min(self.terms) if self.terms else Fraction(0)
-
-    @property
-    def step(self) -> Fraction:
-        exps = sorted(self.terms)
-        if len(exps) < 2:
-            return Fraction(1)
-        g = exps[1] - exps[0]
-        for prev, nxt in zip(exps[1:], exps[2:]):
-            g = _frac_gcd(g, nxt - prev)
-        return g
-
-    @property
-    def coefficients(self) -> list[SeriesCoefficient]:
-        """Dense coefficient list on the base + n*step grid."""
-        if not self.terms:
-            return []
-        b, s = self.base, self.step
-        top = max(self.terms)
-        out = []
-        e = b
-        while e <= top:
-            out.append(self.terms.get(e, Fraction(0)))
-            e += s
-        return out
-
-    def leading_exponent(self) -> Fraction | None:
-        """Smallest stored exponent; for an empty series, the truncation order."""
-        if self.terms:
-            return min(self.terms)
-        return self.order
-
-    # -- arithmetic -------------------------------------------------------------
-
-    @classmethod
-    def zero(cls, variable: str, order: NumberLike | None = None) -> "TruncSeries":
-        return cls(variable, {}, order)
-
-    @classmethod
-    def monomial(
-        cls, variable: str, exponent: NumberLike, coeff: SeriesCoefficient = 1
-    ) -> "TruncSeries":
-        return cls(variable, {Fraction(exponent): coeff}, None)
-
-    def _check_var(self, other: "TruncSeries"):
-        if self.variable != other.variable:
-            raise ValueError(
-                f"series variables differ: {self.variable!r} vs {other.variable!r}"
-            )
-
-    def __add__(self, other):
-        if isinstance(other, (int, float, Fraction)):
-            other = TruncSeries(self.variable, {Fraction(0): other}, None)
-        self._check_var(other)
-        order = _min_order(self.order, other.order)
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            terms[e] = terms.get(e, Fraction(0)) + c
-        return TruncSeries(self.variable, terms, order)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return TruncSeries(self.variable, {e: -c for e, c in self.terms.items()}, self.order)
-
-    def __sub__(self, other):
-        if isinstance(other, (int, float, Fraction)):
-            other = TruncSeries(self.variable, {Fraction(0): other}, None)
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float, Fraction)):
-            return TruncSeries(
-                self.variable, {e: c * other for e, c in self.terms.items()}, self.order
-            )
-        self._check_var(other)
-        # Error of a product: err_a*b + a*err_b + err_a*err_b.  With leading
-        # exponents la, lb this is conservative at min(Oa+lb, Ob+la, Oa+Ob);
-        # for Laurent factors (negative leading exponent) this is *below*
-        # min(Oa, Ob), so the simple min would overstate what is known.
-        la, lb = self.leading_exponent(), other.leading_exponent()
-        candidates = []
-        if self.order is not None:
-            candidates.append(self.order + (lb if lb is not None else Fraction(0)))
-        if other.order is not None:
-            candidates.append(other.order + (la if la is not None else Fraction(0)))
-        if self.order is not None and other.order is not None:
-            candidates.append(self.order + other.order)
-        order = min(candidates) if candidates else None
-        terms: dict[Fraction, SeriesCoefficient] = {}
-        for ea, ca in self.terms.items():
-            for eb, cb in other.terms.items():
-                e = ea + eb
-                terms[e] = terms.get(e, Fraction(0)) + ca * cb
-        return TruncSeries(self.variable, terms, order)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "TruncSeries":
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("series power must be a non-negative integer")
-        result = TruncSeries(self.variable, {Fraction(0): Fraction(1)}, None)
-        for _ in range(n):
-            result = result * self
-        return result
-
-    def shift(self, amount: NumberLike) -> "TruncSeries":
-        """Multiply by x**amount (shifts all exponents and the truncation order)."""
-        a = Fraction(amount)
-        order = None if self.order is None else self.order + a
-        return TruncSeries(self.variable, {e + a: c for e, c in self.terms.items()}, order)
-
-    def truncate(self, order: NumberLike) -> "TruncSeries":
-        order = Fraction(order)
-        if self.order is not None and order > self.order:
-            raise ValueError(
-                f"cannot extend truncation order to {order}; achievable order is {self.order}"
-            )
-        return TruncSeries(self.variable, self.terms, order)
-
-    # -- queries ------------------------------------------------------------------
-
-    def is_zero(self, tol: float = 0.0) -> bool:
-        """True if all known coefficients vanish (within tol, for float coefficients)."""
-        return all(abs(float(c)) <= tol for c in self.terms.values())
-
-    def evaluate(self, x: float) -> float:
-        """Numeric evaluation; x must be positive when fractional or negative exponents occur."""
-        return sum(float(c) * x ** float(e) for e, c in self.terms.items())
-
-    def __eq__(self, other):
-        if not isinstance(other, TruncSeries):
-            return NotImplemented
-        return (
-            self.variable == other.variable
-            and self.terms == other.terms
-            and self.order == other.order
-        )
-
-    def __str__(self):
-        if not self.terms:
-            body = "0"
-        else:
-            parts = []
-            for e in sorted(self.terms):
-                c = self.terms[e]
-                parts.append(f"({c})*{self.variable}^({e})")
-            body = " + ".join(parts)
-        tail = "" if self.order is None else f" + O({self.variable}^({self.order}))"
-        return body + tail
-
-    __repr__ = __str__
-
-
-def _min_order(a: Fraction | None, b: Fraction | None) -> Fraction | None:
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return min(a, b)
-
-
-def series_substitute(
-    p: MultiPoly, s: TruncSeries, order: NumberLike | None = None
-) -> TruncSeries:
-    """Substitute a truncated series for one variable of a two-variable polynomial.
-
-    `p` must involve exactly two variables, one of which is the series'
-    independent variable; the other is replaced by the series.  The result
-    carries a conservatively propagated truncation order.  If `order` is
-    requested beyond what the input truncation supports, a ValueError reports
-    the achievable order.
-    """
-    if len(p.variables) != 2 or s.variable not in p.variables:
-        raise ValueError(
-            f"polynomial must have exactly two variables including {s.variable!r}; "
-            f"got {p.variables}"
-        )
-    x = s.variable
-    y = next(v for v in p.variables if v != x)
-    yi = p.variables.index(y)
-    xi = p.variables.index(x)
-    total = TruncSeries.zero(x)
-    powers: dict[int, TruncSeries] = {0: TruncSeries(x, {Fraction(0): Fraction(1)}, None)}
-
-    def s_pow(n: int) -> TruncSeries:
-        if n not in powers:
-            powers[n] = s_pow(n - 1) * s
-        return powers[n]
-
-    for e, c in p.terms.items():
-        contrib = (s_pow(e[yi]) * c).shift(e[xi])
-        total = total + contrib
-    if order is not None:
-        order = Fraction(order)
-        if total.order is not None and order > total.order:
-            raise ValueError(
-                f"requested output order {order} exceeds achievable order {total.order}"
-            )
-        total = total.truncate(order)
-    return total

@@ -30,7 +30,7 @@ from facdisp.models import (
     wing_matrix,
     WingParams,
 )
-from facdisp.polyalg import MultiPoly, TruncSeries
+from facdisp.polyalg import MultiPoly
 
 W = MultiPoly.var("w")
 DATA = mindlin_default_params(b=F(1, 10))
@@ -62,6 +62,12 @@ class TestRealRoots:
 
     def test_rational_root_exact_hit(self):
         assert real_roots(W * 2 - 1) == pytest.approx([0.5], abs=1e-15)
+
+    def test_roots_beyond_float_cell_width(self):
+        # the root bound is about 3e400, so isolation cells are wider than
+        # the largest float until bisection has halved them about 310 times
+        roots = real_roots((W - 10**200) * (W + 3 * 10**200))
+        assert roots == pytest.approx([-3e200, 1e200], rel=1e-15)
 
     def test_zero_polynomial_rejected(self):
         with pytest.raises(ValueError):
@@ -248,14 +254,10 @@ class TestTraceBranches:
 
 class TestClosedFormSeries:
     def test_lower_coefficients_at_data(self):
-        s = lower_series(DATA)
-        assert s.values[0] == F(10)
-        assert s.values[1] == F(-1625, 3)
-        assert s.values[2] == F(578125, 12)
+        assert lower_series(DATA) == (F(10), F(-1625, 3), F(578125, 12))
 
     def test_upper_coefficients_at_data(self):
-        s = upper_series(DATA)
-        w0, d1, d2 = s.values
+        w0, d1, d2 = upper_series(DATA)
         assert float(w0) == pytest.approx(0.2 * math.sqrt(3), abs=1e-15)
         assert float(d1) == pytest.approx(math.sqrt(3) * 13 / 1.2, rel=1e-13)
         assert float(d2) == pytest.approx(-math.sqrt(3) * 217 / 0.576, rel=1e-13)
@@ -267,10 +269,21 @@ class TestClosedFormSeries:
             upper_series(mindlin_default_params(b=0))
 
     def test_series_signs(self):
-        s = lower_series(DATA)
-        assert s.values[0] > 0
-        u = upper_series(DATA)
-        assert float(u.values[0]) > 0
+        assert lower_series(DATA)[0] > 0
+        assert float(upper_series(DATA)[0]) > 0
+
+    def test_branch_series_into_dispersion(self):
+        # three-term pinned-branch series into the coupled plate factor:
+        # everything below k^10 cancels exactly in rational arithmetic
+        A = mindlin_A(DATA.b)
+        c1, c2, c3 = lower_series(DATA)
+        K = MultiPoly.var("k")
+        w = c1 * K**2 + c2 * K**4 + c3 * K**6
+        top = max(e[A.variables.index("w")] for e in A.terms)
+        composed = sum((A.coefficient("w", j) * w**j for j in range(top + 1)), MultiPoly.zero())
+        coeffs = composed.univariate_coefficients("k")
+        assert not any(coeffs[:10])
+        assert coeffs[10] != 0
 
 
 class TestLaurent:
@@ -281,31 +294,28 @@ class TestLaurent:
         assert R == F(1, 5)
 
     def test_sum_is_vieta_trace(self):
-        sp = laurent_S(DATA, +1)
-        sm = laurent_S(DATA, -1)
-        total = sp + sm
+        # w*S_+ + w*S_- = (P / kGD) w
         P, _, _ = laurent_PQR(DATA)
-        want = TruncSeries("w", {F(0): P / (DATA.kappa * DATA.G * DATA.D)}, total.order)
-        assert total == want
+        total = laurent_S(DATA, +1) + laurent_S(DATA, -1)
+        assert total == W * (P / (DATA.kappa * DATA.G * DATA.D))
 
     def test_product_matches_vieta(self):
-        sp, sm = laurent_S(DATA, +1), laurent_S(DATA, -1)
-        prod = sp * sm
+        # w^2 S_+ S_- = rho^2 h^3 w^2 / (12 kGD) - b^2 rho h / D + O(w^6)
+        prod = laurent_S(DATA, +1) * laurent_S(DATA, -1)
         kGD = DATA.kappa * DATA.G * DATA.D
-        assert prod.terms[F(-2)] == -F(1, 100)
-        assert prod.terms[F(0)] == DATA.rho**2 * DATA.h**3 / (12 * kGD) \
-            - 0  # the w^0 coefficient is rho^2 h^3 /(12 kGD) by Vieta
-        assert F(2) not in prod.terms
+        coeffs = prod.univariate_coefficients("w")
+        assert coeffs[0] == -F(1, 100)
+        assert coeffs[2] == DATA.rho**2 * DATA.h**3 / (12 * kGD)
+        assert coeffs[4] == 0
 
     def test_residual_vanishes_through_cubic_order(self):
+        # w^2 times the S residual: S is known through w^3 when w*S is
+        # known through w^5, and nothing beyond w^5 is kept
         for sign in (1, -1):
-            res = laurent_quadratic_residual(DATA, laurent_S(DATA, sign))
-            assert res.is_zero()
-            assert res.order == 4
-
-    def test_order_cap(self):
-        with pytest.raises(ValueError):
-            laurent_S(DATA, +1, order=6)
+            ws = laurent_S(DATA, sign)
+            assert laurent_quadratic_residual(DATA, ws).is_zero()
+            assert not laurent_quadratic_residual(DATA, ws + W**5).is_zero()
+            assert laurent_quadratic_residual(DATA, ws + W**6).is_zero()
 
     def test_asymptotic_S_limits(self):
         assert asymptotic_S_values(DATA) == (F(1), F(1, 12))

@@ -127,6 +127,23 @@ def test_non_finite_range_is_usage_error(argv, bounds):
     assert "range bounds must be finite" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("mech", "--p-min=nan"), "range bounds must be finite"),
+    (("mech", "--p-max=inf"), "range bounds must be finite"),
+    (("mech", "--p-steps=1"), "at least 2 steps"),
+    (("mech", "--p-min=0.5"), "max > min"),
+    (("crosspoint", "--gamma=nan"), "not a finite number"),
+    (("crosspoint", "--g1=inf"), "not a finite number"),
+    (("crosspoint", "--g2=-inf"), "not a finite number"),
+    (("crosspoint", "--ggamma=nan"), "not a finite number"),
+])
+def test_non_finite_or_degenerate_grid_is_usage_error(argv, message):
+    code, out, err = run_cli(*argv)
+    assert code == 2
+    assert message in err
+    assert out == ""
+
+
 def test_python_dash_m_entry_point():
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))

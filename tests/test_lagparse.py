@@ -75,6 +75,20 @@ class TestParsing:
         _, diags = try_parse_lagrangian("dim 1\nfields u\nterm c dt(u) dt(u)\n")
         assert any("before declaration" in d.message for d in diags)
 
+    def test_rejected_param_reported_once(self):
+        # the bad literal is the one fault: later uses of the name add nothing
+        src = "dim 1\nfields u\nparam c 1/0\ncoupling c\nterm c dt(u) dt(u)\n"
+        _, diags = try_parse_lagrangian(src)
+        assert [(d.line, d.column, d.message) for d in diags] == [
+            (3, 9, "numeric literal '1/0' is not a rational")
+        ]
+
+    def test_undeclared_coupling_located_at_directive(self):
+        _, diags = try_parse_lagrangian("dim 1\nfields u\n\ncoupling  c\n")
+        assert [(d.line, d.column, d.message) for d in diags] == [
+            (4, 11, "coupling parameter 'c' is not declared")
+        ]
+
     def test_reserved_parameter_name(self):
         _, diags = try_parse_lagrangian("dim 1\nfields u\nparam w 1\n")
         assert any("reserved" in d.message for d in diags)

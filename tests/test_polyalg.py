@@ -6,10 +6,8 @@ import pytest
 from facdisp.polyalg import (
     ComplexPoly,
     MultiPoly,
-    TruncSeries,
     format_poly,
     parse_poly,
-    series_substitute,
     sqrt_exact,
 )
 
@@ -173,60 +171,6 @@ class TestComplexPoly:
         assert not ComplexPoly.zero()
         assert ComplexPoly(0, 1)
         assert ComplexPoly(W)
-
-
-class TestTruncSeries:
-    def test_grid_fields(self):
-        s = TruncSeries("k", {F(2): F(10), F(4): F(-3), F(6): F(1)}, order=8)
-        assert s.base == 2 and s.step == 2
-        assert s.coefficients == [F(10), F(-3), F(1)]
-
-    def test_laurent_grid(self):
-        s = TruncSeries("w", {F(-1): F(1), F(0): F(2), F(1): F(3), F(3): F(4)}, order=5)
-        assert s.base == -1 and s.step == 1
-
-    def test_add_carries_min_order(self):
-        a = TruncSeries("x", {F(0): 1}, order=4)
-        b = TruncSeries("x", {F(1): 1}, order=6)
-        assert (a + b).order == 4
-
-    def test_mul_laurent_order_is_conservative(self):
-        # with leading exponent -1 the product is known to one order less
-        s = TruncSeries("w", {F(-1): F(1), F(1): F(2)}, order=5)
-        assert (s * s).order == 4
-
-    def test_exact_substitution_is_zero(self):
-        p = MultiPoly(("y", "x"), {(1, 0): F(1), (0, 2): F(-1)})  # y - x^2
-        s = TruncSeries.monomial("x", 2)
-        assert series_substitute(p, s).is_zero()
-
-    def test_puiseux_substitution(self):
-        p = MultiPoly(("y", "x"), {(2, 0): F(1), (0, 1): F(-1)})  # y^2 - x
-        s = TruncSeries.monomial("x", F(1, 2))
-        assert series_substitute(p, s).is_zero()
-
-    def test_order_request_beyond_achievable(self):
-        p = MultiPoly(("y", "x"), {(2, 0): F(1), (0, 1): F(-1)})
-        s = TruncSeries("x", {F(1, 2): F(1)}, order=3)
-        with pytest.raises(ValueError, match="achievable"):
-            series_substitute(p, s, order=100)
-
-    def test_branch_series_into_dispersion(self):
-        # three-term pinned-branch series into the coupled plate factor:
-        # everything below k^10 cancels exactly in rational arithmetic
-        from facdisp.models import mindlin_default_params, mindlin_factorized
-
-        p = mindlin_default_params(b=F(1, 10))
-        _, A = mindlin_factorized(p)
-        A = A.subs({"b": p.b})
-        s = TruncSeries("k", {F(2): F(10), F(4): F(-1625, 3), F(6): F(578125, 12)}, order=8)
-        res = series_substitute(A, s)
-        assert res.order == 10
-        assert res.is_zero()
-
-    def test_evaluate(self):
-        s = TruncSeries("k", {F(2): F(10)}, order=4)
-        assert s.evaluate(0.5) == pytest.approx(2.5)
 
 
 def test_sqrt_exact():
