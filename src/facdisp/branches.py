@@ -1,9 +1,10 @@
 """Numerical dispersion-branch machinery: real-root isolation (float
 estimates certified by exact signs, with exact Sturm isolation as the
-fallback), branch tracing by nearest-neighbor continuity, the closed-form
-small-k branch expansions of the coupled plate model as coefficient tuples,
-the small-frequency Laurent analysis of S = k^2/w^2 as the polynomial w*S,
-and log-log residual-order estimation.
+fallback), branch tracing by nearest-neighbor continuity on an integer table
+compiled once per trace (estimates from one stacked eigenvalue call per degree,
+judged real per grid point), the closed-form small-k expansions of the coupled
+plate model as coefficient tuples, the small-frequency Laurent analysis of
+S = k^2/w^2 as the polynomial w*S, and log-log residual-order estimation.
 """
 
 from __future__ import annotations
@@ -89,11 +90,7 @@ def _zip_pad(a: list[Fraction], b: list[Fraction]):
 
 def _int_coeffs(c: list[Fraction]) -> list[int]:
     """Scale to integer coefficients (positive overall factor; sign-preserving)."""
-    if not c:
-        return []
-    lcm = 1
-    for coef in c:
-        lcm = lcm * coef.denominator // math.gcd(lcm, coef.denominator)
+    lcm = math.lcm(*(coef.denominator for coef in c))
     return [coef.numerator * (lcm // coef.denominator) for coef in c]
 
 
@@ -205,8 +202,8 @@ def _exact_roots(coeffs: list[Fraction], tol: float) -> list[float]:
     return sorted(roots)
 
 
-def _certified_roots(coeffs: list[Fraction], tol: float) -> list[float] | None:
-    """The Sturm route's output from float estimates, or None when not certified.
+def _certified_roots(ic: list[int], est: list[float] | None, tol: float) -> list[float] | None:
+    """The Sturm route's output from the float estimates `est` of `ic`, or None.
 
     `_refine` stops on the dyadic grid of [-bound, bound] at the least level M
     whose cell width is <= tol.  If every float root estimate lands in (or next
@@ -215,21 +212,13 @@ def _certified_roots(coeffs: list[Fraction], tol: float) -> list[float] | None:
     Sturm isolation then never splits below level M, so `_refine` ends in
     exactly these cells and returns their midpoints.
     """
-    deg, ic = len(coeffs) - 1, _int_coeffs(coeffs)
-    try:
-        top = [-c / ic[-1] for c in reversed(ic[:-1])]
-    except OverflowError:
-        return None
-    # eigenvalues of the companion matrix, as in np.roots, whose extra numpy
-    # steps cost time and 0.2 MiB more resident code
-    est = np.linalg.eigvals([top] + [[float(i == j) for j in range(deg)] for i in range(deg - 1)])
-    if np.iscomplexobj(est) or not np.isfinite(est).all():
+    if est is None:
         return None
     bound = _root_bound(ic)
     width = 2 * bound  # every cell's width in units of 1/den
     den = 2 ** _halvings(width, 1, tol)  # the level where `_refine` stops
     cells = set()
-    for x in est.tolist():
+    for x in est:
         num, q = x.as_integer_ratio()
         lo = -bound * den + width * ((num + bound * q) * den // (width * q))
         for a in (lo, lo - width, lo + width):
@@ -238,32 +227,59 @@ def _certified_roots(coeffs: list[Fraction], tol: float) -> list[float] | None:
                 break
         else:
             return None
-    if len(cells) < deg:
+    if len(cells) < len(ic) - 1:
         return None
     return [(2 * a + width) / (2 * den) for a in sorted(cells)]
+
+
+def _roots_of(ics: list[list[int]], tol: float) -> list[list[float]]:
+    """The real roots of each nonzero integer polynomial.  The estimates are
+    companion-matrix eigenvalues as in np.roots (without its extra steps), from
+    one stacked `eigvals` call per degree, judged real per row: a stack's
+    result is complex as a whole when one matrix has a complex pair.  Rows not
+    certified, or whose coefficient ratio overflows a float, take the Sturm route.
+    """
+    est: list[list[float] | None] = [None] * len(ics)
+    groups: dict[int, list[tuple[int, list[float]]]] = {}
+    for i, ic in enumerate(ics):
+        try:
+            top = [-c / ic[-1] for c in reversed(ic[:-1])]
+        except OverflowError:
+            continue
+        groups.setdefault(len(top), []).append((i, top))
+    for deg, rows in groups.items():
+        stack = np.zeros((len(rows), deg, deg)) + np.eye(deg, k=-1)
+        stack[:, :1] = [[top] for _, top in rows]
+        vals = np.linalg.eigvals(stack)
+        real = ((vals.imag == 0) & np.isfinite(vals)).all(axis=1).tolist()
+        for (i, _), ok, row in zip(rows, real, vals.real.tolist()):
+            est[i] = row if ok else None
+    return [
+        roots if (roots := _certified_roots(ic, e, tol)) is not None
+        else _exact_roots([Fraction(c) for c in ic], tol)
+        for ic, e in zip(ics, est)
+    ]
 
 
 def real_roots(p: MultiPoly, tol: float = 1e-12, var: str | None = None) -> list[float]:
     """All real roots of a univariate polynomial, repeated per multiplicity.
 
-    Float root estimates (companion-matrix eigenvalues) are first certified
-    with exact integer signs on the dyadic cells where Sturm bisection would
-    stop; the output is then identical to the Sturm route's.  Otherwise (complex
-    or repeated roots, two roots in one cell, a root on a grid point, a
-    coefficient ratio out of float range) the roots are isolated exactly by Sturm
-    sequences on the rationalized coefficients of each squarefree factor and
-    refined by bisection to the absolute tolerance.  The zero polynomial and
-    non-positive or NaN tolerances are rejected.
+    The coefficients are scaled to integers.  Float root estimates
+    (companion-matrix eigenvalues) are certified with exact integer signs on
+    the dyadic cells where Sturm bisection would stop; the output is then
+    identical to the Sturm route's.  Otherwise (complex or repeated roots, two
+    roots in one cell, a root on a grid point, a coefficient ratio out of
+    float range) the roots are isolated exactly by Sturm sequences on each
+    squarefree factor and refined by bisection to the absolute tolerance.
+    This is a batch of one through the core `trace_branches` runs on a grid.
+    The zero polynomial and non-positive or NaN tolerances are rejected.
     """
     if not tol > 0:
         raise ValueError("tolerance must be positive")
-    coeffs = _trim([Fraction(x) for x in p.univariate_coefficients(var)])
-    if not coeffs:
+    ic = _int_coeffs(_trim([Fraction(x) for x in p.univariate_coefficients(var)]))
+    if not ic:
         raise ValueError("zero polynomial has no well-defined root set")
-    if len(coeffs) == 1:
-        return []
-    roots = _certified_roots(coeffs, tol)
-    return roots if roots is not None else _exact_roots(coeffs, tol)
+    return _roots_of([ic], tol)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -298,25 +314,18 @@ def _monotone_match(prev: list[float], new: list[float]) -> list[tuple[int, int]
     tie-break that keeps the previous step's branch ordering.
     """
     m, n = len(prev), len(new)
+    if m == n:  # the only order-preserving matching of all pairs
+        return [(i, i) for i in range(m)]
     small, large, swapped = (prev, new, False) if m <= n else (new, prev, True)
     ms, ns = len(small), len(large)
-    INF = float("inf")
-    cost = [[INF] * (ns + 1) for _ in range(ms + 1)]
+    cost = [[math.inf] * (ns + 1) for _ in range(ms)] + [[0.0] * (ns + 1)]
     choice = [[0] * (ns + 1) for _ in range(ms + 1)]
-    for j in range(ns + 1):
-        cost[ms][j] = 0.0
     for i in range(ms - 1, -1, -1):
         for j in range(ns - 1, -1, -1):
             if ns - j < ms - i:
                 continue
-            take = abs(small[i] - large[j]) + cost[i + 1][j + 1]
-            skip = cost[i][j + 1]
-            if take <= skip:
-                cost[i][j] = take
-                choice[i][j] = 1
-            else:
-                cost[i][j] = skip
-                choice[i][j] = 0
+            take, skip = abs(small[i] - large[j]) + cost[i + 1][j + 1], cost[i][j + 1]
+            cost[i][j], choice[i][j] = (take, 1) if take <= skip else (skip, 0)
     pairs = []
     i = j = 0
     while i < ms and j < ns:
@@ -325,6 +334,39 @@ def _monotone_match(prev: list[float], new: list[float]) -> list[tuple[int, int]
             i += 1
         j += 1
     return pairs
+
+
+def _grid_coefficients(dispersion: MultiPoly, kgrid: list, kvar: str, wvar: str) -> list[list[int]]:
+    """Integer coefficients in `wvar` at each grid point k = n/d.  With all
+    denominators cleared by one positive factor, the terms are grouped by their
+    exponents in the other variables into (power p of `kvar`, integer a) pairs,
+    summed as a*n^p*d^(K-p): the polynomial at k times lcm*d^K > 0, so no
+    coefficient ratio or exact sign changes.  The errors are `real_roots`'s.
+    """
+    names, terms = dispersion.variables, dispersion.terms
+    rest = [i for i, v in enumerate(names) if v != kvar]
+    table: dict[tuple[int, ...], list[tuple[int, int]]] = {}
+    for e, a in zip(terms, _int_coeffs(list(terms.values()))):
+        p = sum(e) - sum(e[i] for i in rest)  # the power of kvar
+        table.setdefault(tuple(e[i] for i in rest), []).append((p, a))
+    K = max((p for pairs in table.values() for p, _ in pairs), default=0)
+    out = []
+    for k in kgrid:
+        n, d = Fraction(k).as_integer_ratio()
+        scale = [n**p * d ** (K - p) for p in range(K + 1)]
+        vals = {e: s for e, pairs in table.items() if (s := sum(a * scale[p] for p, a in pairs))}
+        used = tuple(names[i] for j, i in enumerate(rest) if any(e[j] for e in vals))
+        if len(used) > 1:
+            raise ValueError(f"polynomial has several variables: {used}")
+        if used and used[0] != wvar:
+            raise ValueError(f"polynomial is in {used[0]!r}, not {wvar!r}")
+        if not vals:
+            raise ValueError("zero polynomial has no well-defined root set")
+        c = [0] * (1 + max(map(sum, vals)))
+        for e, s in vals.items():
+            c[sum(e)] = s  # only wvar has a nonzero exponent in e
+        out.append(c)
+    return out
 
 
 def trace_branches(
@@ -336,21 +378,24 @@ def trace_branches(
 ) -> list[BranchTrace]:
     """Thread the real roots in the frequency variable into continuous branches.
 
-    At each grid point the roots are recomputed exactly; consecutive root sets
-    are joined by the nearest-neighbor matching above.  Branches may begin or
-    end where roots appear or disappear.
+    The polynomial is compiled once into an integer table and evaluated in
+    integers at every grid point (float, int or Fraction).  The estimates come
+    from one stacked eigenvalue call per degree, judged real or complex per
+    point, and are certified per point: the roots are those `real_roots` gives.
+    Consecutive root sets are joined by the nearest-neighbor matching above.
+    Branches may begin or end where roots appear or disappear.
     """
     kgrid = list(kgrid)
     if not kgrid:
         raise ValueError("empty wavenumber grid")
     if any(b <= a for a, b in zip(kgrid, kgrid[1:])):
         raise ValueError("wavenumber grid must be strictly increasing")
+    if not tol > 0:
+        raise ValueError("tolerance must be positive")
+    rootsets = _roots_of(_grid_coefficients(dispersion, kgrid, kvar, wvar), tol)
     traces: list[BranchTrace] = []
     active: list[BranchTrace] = []  # kept sorted by their latest frequency
-    next_id = 0
-    for k in kgrid:
-        pk = dispersion.subs({kvar: Fraction(k)})
-        roots = real_roots(pk, tol=tol, var=wvar)
+    for k, roots in zip(kgrid, rootsets):
         prev = [t.last_omega() for t in active]
         pairs = _monotone_match(prev, roots)
         matched_new = {j for _, j in pairs}
@@ -360,8 +405,7 @@ def trace_branches(
             surviving.append(active[i])
         for j, w in enumerate(roots):
             if j not in matched_new:
-                t = BranchTrace(next_id, [(k, w)])
-                next_id += 1
+                t = BranchTrace(len(traces), [(k, w)])
                 traces.append(t)
                 surviving.append(t)
         surviving.sort(key=lambda t: t.last_omega())

@@ -150,11 +150,18 @@ def cmd_model(args) -> int:
 
 def cmd_crosspoint(args) -> int:
     cp = CrossPointData.from_normalized(args.g1, args.g2, args.gamma, args.ggamma)
+    if not all(map(math.isfinite, (cp.g1 - cp.g2, cp.g1 + cp.g2, cp.coupling_product()))):
+        raise SystemExit2("g1 - g2, g1 + g2 or gamma * ggamma overflows a float")
     rows = []
     for kappa in _grid(*args.kappa_range):
-        roots = solve_delta(cp, kappa)
+        try:
+            roots = solve_delta(cp, kappa)
+        except OverflowError:  # a float ** overflows where a * gives inf
+            roots = (math.inf,)
         if roots is None:
             continue
+        if not all(map(math.isfinite, roots)):
+            raise SystemExit2(f"the branch offsets at kappa = {_fmt(kappa)} overflow a float")
         for tag, delta in zip(("minus", "plus"), roots):
             rows.append((tag, kappa, [_fmt(kappa), _fmt(delta), tag]))
     rows.sort(key=lambda r: (r[0], r[1]))

@@ -252,6 +252,138 @@ class TestTraceBranches:
         assert len(real_roots(mindlin_A(p.b).subs({"k": F(1, 50)}))) == 4
 
 
+def _dp_match(prev, new):
+    """The min-total-distance order-preserving matching, by dynamic programming
+    for every pair of lengths (the reference for `_monotone_match`)."""
+    small, large, swapped = (prev, new, False) if len(prev) <= len(new) else (new, prev, True)
+    ms, ns = len(small), len(large)
+    cost = [[math.inf] * (ns + 1) for _ in range(ms + 1)]
+    choice = [[0] * (ns + 1) for _ in range(ms + 1)]
+    cost[ms] = [0.0] * (ns + 1)
+    for i in range(ms - 1, -1, -1):
+        for j in range(ns - 1, -1, -1):
+            if ns - j < ms - i:
+                continue
+            take, skip = abs(small[i] - large[j]) + cost[i + 1][j + 1], cost[i][j + 1]
+            cost[i][j], choice[i][j] = (take, 1) if take <= skip else (skip, 0)
+    pairs, i, j = [], 0, 0
+    while i < ms and j < ns:
+        if choice[i][j]:
+            pairs.append((j, i) if swapped else (i, j))
+            i += 1
+        j += 1
+    return pairs
+
+
+def _reference_trace(disp, grid, tol=1e-12):
+    """Branch threading with the roots found per grid point by `subs` and
+    `real_roots`, matched by `_dp_match`."""
+    traces, active = [], []
+    for k in grid:
+        roots = real_roots(disp.subs({"k": F(k)}), tol=tol, var="w")
+        pairs = _dp_match([t.last_omega() for t in active], roots)
+        matched = {j for _, j in pairs}
+        surviving = []
+        for i, j in pairs:
+            active[i].samples.append((k, roots[j]))
+            surviving.append(active[i])
+        for j, w in enumerate(roots):
+            if j not in matched:
+                traces.append(BranchTrace(len(traces), [(k, w)]))
+                surviving.append(traces[-1])
+        active = sorted(surviving, key=lambda t: t.last_omega())
+    return [(t.branch_id, t.samples) for t in traces]
+
+
+K = MultiPoly.var("k")
+SMALL = st.fractions(min_value=-3, max_value=3, max_denominator=7)
+
+
+@st.composite
+def grid_and_dispersion(draw):
+    """A strictly increasing grid of float, int and Fraction points, and a
+    product of factors in k and w that is nonzero at every grid point: a
+    plate-like w^2 - c k^2 (double root w = 0 at k = 0), w^2 - (k - r)
+    (a complex pair left of r), (k - k0) w + s (the leading w coefficient
+    vanishes at the grid point k0) and lines w - a k - c."""
+    points = draw(st.lists(st.fractions(min_value=-2, max_value=2, max_denominator=12),
+                           min_size=1, max_size=10, unique=True))
+    if draw(st.booleans()):
+        points = list({*points, F(0)})
+    grid = []
+    for x in sorted(points):
+        kind = draw(st.sampled_from(["float", "fraction"] + ["int"] * (x.denominator == 1)))
+        grid.append(float(x) if kind == "float" else int(x) if kind == "int" else x)
+    disp = MultiPoly.const(draw(st.sampled_from([F(1), F(-5, 3), F(10) ** 30])))
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["plate", "complex", "lead", "line"]))
+        a, c = draw(SMALL), draw(SMALL)
+        if kind == "plate":
+            disp *= W**2 - (abs(a) + 1) * K**2
+        elif kind == "complex":
+            disp *= W**2 - (K - a)
+        elif kind == "lead":
+            disp *= (K - F(draw(st.sampled_from(grid)))) * W + (c or 1)
+        else:
+            disp *= W - a * K - c
+    return grid, disp
+
+
+class TestCompiledTrace:
+    @PROPERTY
+    @given(grid_and_dispersion())
+    @example(([-1, F(-1, 2), 0.0, F(1, 3), 1.0], (W**2 - 4 * K**2) * (W**2 - K) * (K * W + 1)))
+    def test_same_traces_as_per_point_route(self, case):
+        grid, disp = case
+        got = [(t.branch_id, t.samples) for t in trace_branches(disp, grid)]
+        assert got == _reference_trace(disp, grid)
+
+    @PROPERTY
+    @given(st.lists(st.floats(-10, 10), max_size=6), st.lists(st.floats(-10, 10), max_size=6),
+           st.booleans())
+    def test_monotone_match_is_the_dp(self, prev, new, equal):
+        prev, new = sorted(prev), sorted(new)
+        if equal:
+            new = (new + prev)[:len(prev)]
+            new.sort()
+        assert branches._monotone_match(prev, new) == _dp_match(prev, new)
+
+    @pytest.mark.parametrize("disp, grid, sturm_k", [
+        ((W**2 - K) * (W - F(1, 3)), [-1.0, 0.5, 2.0, 5.0], [-1.0]),
+        (((K - 1) ** 2 + F(1, 10**400)) * W**2 - F(1, 3), [-0.3, 1.0, 1.7, 3.1], [1.0]),
+        ((W**2 - K) * (W - F(1, 3)), [0.5, 2.0, 5.0], []),
+    ], ids=["complex-pair-at-one-k", "coefficient-overflow-at-one-k", "all-certified"])
+    def test_sturm_route_per_grid_point(self, monkeypatch, disp, grid, sturm_k):
+        # the estimates come from one stacked eigvals call, but a complex pair
+        # or an overflowing coefficient ratio sends only its own row to Sturm
+        def monic(cs):
+            return [F(c) / cs[-1] for c in cs]
+        expected = _reference_trace(disp, grid)
+        at = [monic(disp.subs({"k": F(k)}).univariate_coefficients("w")) for k in sturm_k]
+        exact, seen = branches._exact_roots, []
+        monkeypatch.setattr(branches, "_exact_roots", lambda c, tol: seen.append(c) or exact(c, tol))
+        monkeypatch.delattr(MultiPoly, "subs")  # the compiled table replaces it
+        assert [(t.branch_id, t.samples) for t in trace_branches(disp, grid)] == expected
+        assert [monic(c) for c in seen] == at
+
+    @pytest.mark.parametrize("disp, grid, kwargs, message", [
+        (W**2 - 1, [], {}, "empty wavenumber grid"),
+        (W**2 - 1, [1.0, 0.5], {}, "wavenumber grid must be strictly increasing"),
+        (W**2 - 1, [0.5, 0.5], {}, "wavenumber grid must be strictly increasing"),
+        (W**2 - 1, [0.0, 1.0], {"tol": 0}, "tolerance must be positive"),
+        (W**2 - 1, [0.0, 1.0], {"tol": float("nan")}, "tolerance must be positive"),
+        (W**2 - MultiPoly.var("x") * K, [0.0, 1.0], {}, "polynomial has several variables: ('w', 'x')"),
+        (W**2 - K, [0.0], {"wvar": "x"}, "polynomial is in 'w', not 'x'"),
+        (MultiPoly.var("x") ** 2 - K, [0.0, 1.0], {}, "polynomial is in 'x', not 'w'"),
+        (K * W - K, [-1, 0, F(1, 2)], {}, "zero polynomial has no well-defined root set"),
+    ], ids=["empty-grid", "decreasing-grid", "repeated-point", "zero-tol", "nan-tol",
+            "other-variable", "other-wvar", "one-other-variable", "zero-at-a-grid-point"])
+    def test_errors_unchanged(self, disp, grid, kwargs, message):
+        with pytest.raises(ValueError) as exc:
+            trace_branches(disp, grid, **kwargs)
+        assert str(exc.value) == message
+
+
 class TestClosedFormSeries:
     def test_lower_coefficients_at_data(self):
         assert lower_series(DATA) == (F(10), F(-1625, 3), F(578125, 12))

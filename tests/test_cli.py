@@ -136,6 +136,12 @@ def test_non_finite_range_is_usage_error(argv, bounds):
     (("crosspoint", "--g1=inf"), "not a finite number"),
     (("crosspoint", "--g2=-inf"), "not a finite number"),
     (("crosspoint", "--ggamma=nan"), "not a finite number"),
+    (("crosspoint", "--g1=1e308", "--g2=-1e308"), "g1 - g2, g1 + g2 or gamma * ggamma overflows"),
+    (("crosspoint", "--gamma=1e200", "--ggamma=-1e200"), "gamma * ggamma overflows"),
+    (("crosspoint", "--g1=1e200", "--g2=-1e200"), "branch offsets at kappa = -3 overflow"),
+    (("crosspoint", "--g1=1e154", "--g2=1"), "branch offsets at kappa = -3 overflow"),
+    (("crosspoint", "--kappa-range=-1e300:1e300:3"),
+     "branch offsets at kappa = -1.0000000000000001e+300 overflow"),
 ])
 def test_non_finite_or_degenerate_grid_is_usage_error(argv, message):
     code, out, err = run_cli(*argv)

@@ -2,13 +2,20 @@
 
 `.lag` text goes through `try_parse_lagrangian`, which must report every
 fault as a diagnostic, and matrix text through `parse_matrix`, which may
-only raise ValueError.  Any other exception is a crash.  Exponents stay at
-most 9 so that no case does huge arithmetic.
+only raise ValueError.  Any other exception is a crash.  The same texts also
+go end to end through `facdisp lagrangian` and `facdisp expand`, which must
+exit 0, 1 or 2 without a traceback.  Exponents stay at most 9 so that no
+case does huge arithmetic.
 """
 
+import io
+from contextlib import redirect_stderr, redirect_stdout
+
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from facdisp.cli import main
 from facdisp.lagparse import ParseDiagnostic, try_parse_lagrangian
 from facdisp.matdet import PolyMatrix, parse_matrix
 
@@ -79,3 +86,45 @@ def test_matrix_text_parses_or_raises_value_error(text):
     except ValueError:
         return
     assert isinstance(m, PolyMatrix)
+
+
+# a valid preamble, so that some fuzzed term lines reach the symbol matrix
+PREAMBLE = st.sampled_from(["", "dim 1\nfields u v\nparam c 3/4\n",
+                            "dim 2\nfields u\nparam c 1\ncoupling c\n"])
+TERM_LINE = st.builds(lambda c, d1, d2: f"term {c} {d1} {d2}", COEF, DERIV, DERIV)
+CLI_LAG_TEXT = st.builds(lambda head, lines: head + "\n".join(lines), PREAMBLE,
+                         st.lists(st.one_of(TERM_LINE, LAG_LINE), max_size=4))
+CLI_MATRIX_TEXT = st.one_of(MATRIX_TEXT, st.sampled_from(["[1, b; b, 2]", "[u^2, 0; 3/4, -1]", "[x]"]))
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    return tmp_path_factory.mktemp("cli-fuzz")
+
+
+def run_cli(*argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(list(argv))
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    assert code == 0 or err.getvalue()
+    return code
+
+
+@FUZZ
+@given(CLI_LAG_TEXT, st.sampled_from(["matrix", "dispersion"]))
+@example("dim 1\nfields u\nparam c 1\nterm 1/2 dt(u) dt(u)\nterm -1/2*c^2 dx(u) dx(u)", "dispersion")
+def test_cli_lagrangian_exits_cleanly(workdir, text, emit):
+    path = workdir / "fuzz.lag"
+    path.write_text(text)
+    run_cli("lagrangian", str(path), "--emit", emit)
+
+
+@FUZZ
+@given(CLI_MATRIX_TEXT, CLI_MATRIX_TEXT, st.sampled_from(["b", "u", "x", "1"]))
+@example("[1, b; b, 2]", "[u^2, 0; 3/4, -1]", "b")
+def test_cli_expand_exits_cleanly(workdir, text_a, text_b, var):
+    (workdir / "a.txt").write_text(text_a)
+    (workdir / "b.txt").write_text(text_b)
+    run_cli("expand", str(workdir / "a.txt"), str(workdir / "b.txt"), "--var", var)
