@@ -46,12 +46,13 @@ print("  lifted branch  w =", " + ".join(
     f"({float(c):+.5g}) k^{2*i}" for i, c in enumerate(upper_series(p))))
 
 # the Laurent analysis of S = k^2/w^2 shows both modes in every coefficient;
-# w*S_+ is a polynomial, exact through w^5
+# w*S_+ is a polynomial, exact through w^5, so substituted into w^2 times its
+# quadratic it leaves a residual that starts at w^6
 wsplus = laurent_S(p, +1)
 print()
 print("w*S_+ series:", wsplus, "+ O(w^6)")
-print("substituted into w^2 times its quadratic:",
-      laurent_quadratic_residual(p, wsplus), "+ O(w^6)")
+print("substituted into w^2 times its quadratic (from w^6 up):",
+      laurent_quadratic_residual(p, wsplus))
 
 # large-k recovery
 s1, s2 = asymptotic_slopes(p)

@@ -3,8 +3,8 @@ estimates certified by exact signs, with exact Sturm isolation as the
 fallback), branch tracing by nearest-neighbor continuity on an integer table
 compiled once per trace (estimates from one stacked eigenvalue call per degree,
 judged real per grid point), the closed-form small-k expansions of the coupled
-plate model as coefficient tuples, the small-frequency Laurent analysis of
-S = k^2/w^2 as the polynomial w*S, and log-log residual-order estimation.
+plate model as coefficient tuples, and the small-frequency Laurent analysis of
+S = k^2/w^2 as the polynomial w*S.
 """
 
 from __future__ import annotations
@@ -12,14 +12,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .models import MindlinParams
 from .polyalg import MultiPoly, sqrt_exact
 
-# numpy is first loaded by .models; importing it ahead of that reorders the
-# package's imports, which (with bytecode compiled at import) left 0.4 MiB
-# more heap in a measured process
+# this module is the package's only numpy user and loads it first; it stays
+# below the package imports, as moving it ahead of them (with bytecode
+# compiled at import) left 0.4 MiB more heap in a measured process
 import numpy as np
 
 # ---------------------------------------------------------------------------
@@ -501,20 +501,17 @@ def laurent_S(p: MindlinParams, sign: int) -> MultiPoly:
 def laurent_quadratic_residual(p: MindlinParams, ws: MultiPoly) -> MultiPoly:
     """Substitute ws = w*S into w^2 times the defining quadratic of S.
 
-    That is kappa*G*D*ws^2 - P*w*ws + rho^2 h^3/12 w^2 - b^2 kappa G rho h.
-    Only the terms in w^0..w^5 are kept, the powers `laurent_S` knows, so
-    the result is zero when ws is a root through that order.
+    That is kappa*G*D*ws^2 - P*w*ws + rho^2 h^3/12 w^2 - b^2 kappa G rho h,
+    in full: its lowest power of w is w^6 when ws is a root through w^5.
     """
     P, _, _ = laurent_PQR(p)
     w = MultiPoly.var("w")
-    full = (
+    return (
         ws * ws * (p.kappa * p.G * p.D)
         - w * ws * P
         + w * w * (p.rho**2 * p.h**3 / 12)
         - p.b**2 * p.kappa * p.G * p.rho * p.h
     )
-    known = full.univariate_coefficients("w")[:6]
-    return MultiPoly(("w",), {(j,): c for j, c in enumerate(known)})
 
 
 def asymptotic_slopes(p: MindlinParams) -> tuple[float, float]:
@@ -527,54 +524,3 @@ def asymptotic_slopes(p: MindlinParams) -> tuple[float, float]:
 def asymptotic_S_values(p: MindlinParams) -> tuple[Fraction, Fraction]:
     """Limits of S_+/- as the frequency grows: rho/(kappa G) and rho h^3/(12 D)."""
     return p.rho / (p.kappa * p.G), p.rho * p.h**3 / (12 * p.D)
-
-
-# ---------------------------------------------------------------------------
-# residual-order estimation
-# ---------------------------------------------------------------------------
-
-
-def residual_order(
-    relation: Callable[[float, float], float],
-    approx: Callable[[float], float],
-    samples: Sequence[float],
-) -> float | None:
-    """Least-squares slope of log|relation(s, approx(s))| against log s.
-
-    `samples` must be positive and span at least two decades.  Returns None
-    when the residual vanishes identically at every sample (exact relation),
-    which counts as a pass for any expected order.
-    """
-    samples = list(samples)
-    if not samples or any(s <= 0 for s in samples):
-        raise ValueError("samples must be positive")
-    if max(samples) / min(samples) < 99.999:
-        raise ValueError("samples must span at least two decades")
-    pts = []
-    for s in samples:
-        r = abs(relation(s, approx(s)))
-        if r:
-            pts.append((math.log(s), math.log(r)))
-    if not pts:
-        return None
-    if len(pts) < 2:
-        raise ValueError("too few nonzero residuals for a slope estimate")
-    n = len(pts)
-    mx = sum(x for x, _ in pts) / n
-    my = sum(y for _, y in pts) / n
-    sxx = sum((x - mx) ** 2 for x, _ in pts)
-    sxy = sum((x - mx) * (y - my) for x, y in pts)
-    return sxy / sxx
-
-
-def order_matches(slope: float | None, expected: float, tol: float = 0.3) -> bool:
-    """Exact residuals (slope None) pass; otherwise |slope - expected| <= tol."""
-    return slope is None or abs(slope - expected) <= tol
-
-
-def log_samples(lo: float, hi: float, count: int) -> list[float]:
-    """Logarithmically spaced positive samples, inclusive of both ends."""
-    if lo <= 0 or hi <= lo or count < 2:
-        raise ValueError("need 0 < lo < hi and at least two samples")
-    ratio = (hi / lo) ** (1 / (count - 1))
-    return [lo * ratio**i for i in range(count)]

@@ -29,7 +29,6 @@ from .matdet import coupled_b_expansion, parse_matrix, reassemble_b_expansion
 from .mechanalog import OscillatorPair, sweep
 from .models import MODELS
 from .polyalg import format_poly
-from .verify import SUITES, run_suite
 
 
 def _fmt(x: float) -> str:
@@ -113,6 +112,9 @@ def cmd_lagrangian(args) -> int:
     if diags:
         for d in diags:
             print(f"{args.file}:{d}", file=sys.stderr)
+        return 1
+    if not lag.fields:
+        print(f"{args.file}: error: no fields declared, so there is no matrix", file=sys.stderr)
         return 1
     if args.emit == "dispersion":
         print(format_poly(dispersion_poly(lag)))
@@ -207,6 +209,10 @@ def cmd_expand(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .verify import SUITES, run_suite  # only this subcommand loads the suites
+
+    if args.suite not in SUITES:
+        raise SystemExit2(f"unknown suite {args.suite!r}; choose from {sorted(SUITES)}")
     results = run_suite(args.suite)
     width = max(len(r.name) for r in results)
     failures = 0
@@ -269,7 +275,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_expand)
 
     p = sub.add_parser("verify", help="run the identity suites")
-    p.add_argument("suite", nargs="?", default="all", choices=sorted(SUITES))
+    p.add_argument("suite", nargs="?", default="all",
+                   help="the suite to run (default all; an unknown name lists them)")
     p.set_defaults(handler=cmd_verify)
     return ap
 

@@ -15,8 +15,6 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable
 
-import numpy as np
-
 from .matdet import CoupledSystem, PolyMatrix
 from .polyalg import ComplexPoly, MultiPoly, NumberLike, as_fraction
 
@@ -309,34 +307,6 @@ def mindlin_factorized(p: MindlinParams) -> tuple[MultiPoly, MultiPoly]:
     return f, A
 
 
-def mindlin_rotation(kx: float, ky: float) -> np.ndarray:
-    """The orthogonal change of basis T_k; columns are the three mode directions.
-
-    Built from the matrix display (deflection axis, longitudinal in-plane
-    direction, transverse in-plane direction); defined only for k > 0.
-    """
-    k = math.hypot(kx, ky)
-    if k == 0:
-        raise ValueError("the rotation is undefined at kx = ky = 0")
-    return np.array(
-        [
-            [0.0, ky / k, -kx / k],
-            [0.0, kx / k, ky / k],
-            [1.0, 0.0, 0.0],
-        ]
-    )
-
-
-def mindlin_block_diag(p: MindlinParams, kx: float, ky: float):
-    """(T_k, C_b): numeric rotation plus the block form at fixed radial k, in (w, b)."""
-    k = math.hypot(kx, ky)
-    if k == 0:
-        raise ValueError("the block diagonalization is undefined at kx = ky = 0")
-    t = mindlin_rotation(kx, ky)
-    cb = mindlin_radial_matrix(p).subs({"k": Fraction(k)})
-    return t, cb
-
-
 def wave_speeds(p: MindlinParams) -> tuple[float, float, float]:
     """(c_L, c_T, c_P): bulk longitudinal, bulk transverse, thin-plate extensional.
 
@@ -370,14 +340,6 @@ def velocity_residual_A(p: MindlinParams, c: float, k: float) -> float:
     return h2k2 / 12 * (1 - c * c / (float(p.kappa) * cT2)) * (cP2 / (c * c) - 1) - float(
         p.b
     ) ** 2
-
-
-def f_branch_speed(p: MindlinParams, k: float) -> float:
-    """Phase speed of the pure transverse rotation branch: c_T sqrt(1 + 12 kappa b^2/(h k)^2)."""
-    if k <= 0:
-        raise ValueError("wavenumber must be positive")
-    cT = math.sqrt(float(p.G / p.rho))
-    return cT * math.sqrt(1 + float(12 * p.kappa * p.b**2) / (float(p.h) ** 2 * k * k))
 
 
 # ---------------------------------------------------------------------------

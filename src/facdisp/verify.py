@@ -11,19 +11,13 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from . import builtin_lagrangian_text
 from .branches import (
     asymptotic_slopes,
-    laurent_PQR,
     laurent_quadratic_residual,
     laurent_S,
-    log_samples,
     lower_series,
-    order_matches,
     real_roots,
-    residual_order,
     trace_branches,
     upper_series,
 )
@@ -58,9 +52,7 @@ from .models import (
     MindlinParams,
     TwtParams,
     WingParams,
-    f_branch_speed,
     kirchhoff_dispersion,
-    mindlin_block_diag,
     mindlin_default_params,
     mindlin_factorized,
     mindlin_full_matrix,
@@ -74,7 +66,7 @@ from .models import (
     wing_matrix,
     wing_system,
 )
-from .polyalg import MultiPoly
+from .polyalg import ComplexPoly, MultiPoly
 
 
 @dataclass(frozen=True)
@@ -95,6 +87,25 @@ def _rand_frac_matrix(rng: random.Random, n: int) -> PolyMatrix:
             for _ in range(n)
         ]
     )
+
+
+def _compose(p: MultiPoly, var: str, q: MultiPoly) -> MultiPoly:
+    """p with the polynomial q put in for var: sum_j p.coefficient(var, j) * q**j."""
+    if var not in p.variables:
+        return p
+    i = p.variables.index(var)
+    acc = MultiPoly.zero()
+    for j in range(max(e[i] for e in p.terms), -1, -1):  # Horner's scheme
+        acc = acc * q + p.coefficient(var, j)
+    return acc
+
+
+def _valuation(p: MultiPoly, var: str) -> float:
+    """The lowest power of var with a nonzero coefficient in p (inf for p = 0)."""
+    if var not in p.variables:
+        return math.inf if p.is_zero() else 0
+    i = p.variables.index(var)
+    return min(e[i] for e in p.terms)
 
 
 # -- criterion 1: Markus expansion and the coupling-parameter theorem ------------
@@ -254,78 +265,49 @@ def check_twt_scaling() -> CheckResult:
 # -- criterion 5: the plate factorization -----------------------------------------
 
 
-def check_mindlin_factorization(points: int = 50) -> CheckResult:
+def check_mindlin_factorization() -> CheckResult:
     name = "plate factorization det(C_b) = h f A, similarity, eigenvector"
-    p = mindlin_default_params(b=Fraction(1, 10))
-    f, A = mindlin_factorized(p)
-    det = mindlin_radial_matrix(p).det().as_real()
-    if det != MultiPoly.const(p.h) * f * A:
-        return CheckResult(name, False, "det(C_b) != h f A")
-    # also at a lopsided parameter set
+    # the reference data set and a lopsided one
+    p1 = mindlin_default_params(b=Fraction(1, 10))
     p2 = MindlinParams(rho=2, h=Fraction(1, 2), D=3, nu=Fraction(1, 3),
                        kappa=Fraction(5, 6), G=2, b=Fraction(2, 7))
-    f2, A2 = mindlin_factorized(p2)
-    if mindlin_radial_matrix(p2).det().as_real() != MultiPoly.const(p2.h) * f2 * A2:
-        return CheckResult(name, False, "det(C_b) != h f A at second parameter set")
-    rng = random.Random(60601)
-    full = mindlin_full_matrix(p)
-    worst_sim = 0.0
-    worst_eig = 0.0
-    for _ in range(points):
-        kx = rng.uniform(-2, 2) or 0.5
-        ky = rng.uniform(-2, 2) or -0.5
-        wv = rng.uniform(0.1, 3)
-        bv = rng.uniform(0, 1)
-        B = np.array(full.eval({"kx": kx, "ky": ky, "w": wv, "b": bv}))
-        T, cb = mindlin_block_diag(p, kx, ky)
-        C = np.array(cb.eval({"w": wv, "b": bv}))
-        err = np.abs(B - T @ C @ T.T).max() / max(np.abs(B).max(), 1e-30)
-        worst_sim = max(worst_sim, err)
-        kr = math.hypot(kx, ky)
-        tau3 = np.array([-kx / kr, ky / kr, 0.0])
-        fval = f.eval({"k": kr, "w": wv, "b": bv})
-        eig = np.abs(B @ tau3 - fval * tau3).max()
-        worst_eig = max(worst_eig, eig)
-        # the orthogonal complement of tau3 is an invariant subspace
-        for tau in (np.array([0.0, 0.0, 1.0]), np.array([ky / kr, kx / kr, 0.0])):
-            if abs((B @ tau) @ tau3) > 1e-12 * max(np.abs(B).max(), 1.0):
-                return CheckResult(name, False, "invariant-subspace test fails")
-    if worst_sim > 1e-10:
-        return CheckResult(name, False, f"similarity error {worst_sim:.2e} > 1e-10")
-    if worst_eig > 1e-12:
-        return CheckResult(name, False, f"eigenvector error {worst_eig:.2e} > 1e-12")
+    # the rational circle kx = t(1-u^2), ky = 2tu, k = t(1+u^2), on which the
+    # rotation to the mode basis, scaled by k, is polynomial
+    t, u = MultiPoly.var("t"), MultiPoly.var("u")
+    kx, ky, k = t * (1 - u * u), 2 * t * u, t * (1 + u * u)
+
+    def on_circle(m: PolyMatrix) -> PolyMatrix:
+        def put(e):
+            for var, q in (("kx", kx), ("ky", ky), ("k", k)):
+                e = ComplexPoly(_compose(e.re, var, q), _compose(e.im, var, q))
+            return e
+
+        return PolyMatrix([[put(m[i, j]) for j in range(3)] for i in range(3)])
+
+    kT = PolyMatrix([[0, ky, -kx], [0, kx, ky], [k, 0, 0]])
+    kTt = PolyMatrix([[0, 0, k], [ky, kx, 0], [-kx, ky, 0]])
+    tau3 = PolyMatrix([[-kx, 0, 0], [ky, 0, 0], [0, 0, 0]])  # first column only
+    for p in (p1, p2):
+        f, A = mindlin_factorized(p)
+        C = mindlin_radial_matrix(p)
+        if C.det().as_real() != MultiPoly.const(p.h) * f * A:
+            return CheckResult(name, False, f"det(C_b) != h f A at {p}")
+        # the transverse rotation is decoupled: the complement of tau3 is invariant
+        if any(C[i, 2] or C[2, i] for i in range(2)):
+            return CheckResult(name, False, "C_b couples the transverse rotation")
+        B = on_circle(mindlin_full_matrix(p))
+        if B.scale(k * k) != kT @ on_circle(C) @ kTt:
+            return CheckResult(name, False, f"k^2 B != (kT) C_b (kT)^T at {p}")
+        if B @ tau3 != tau3.scale(_compose(f, "k", k)):
+            return CheckResult(name, False, f"B (-kx, ky, 0) != f (-kx, ky, 0) at {p}")
     return CheckResult(
         name, True,
-        f"identity exact; similarity max rel err {worst_sim:.1e}; "
-        f"eigenvector max err {worst_eig:.1e} over {points} random points",
+        "exact in (t, u, w, b) on kx = t(1-u^2), ky = 2tu at two parameter sets: "
+        "det(C_b) = h f A, k^2 B = (kT) C_b (kT)^T, B (-kx, ky, 0) = f (-kx, ky, 0)",
     )
 
 
 # -- criterion 6: small-k / small-frequency asymptotics ---------------------------
-
-
-def _even_poly_value(coeffs: list[Fraction], wsq: Fraction) -> Fraction:
-    """Value of an even univariate polynomial given w^2 (odd coefficients must vanish)."""
-    total = Fraction(0)
-    power = Fraction(1)
-    for i in range(0, len(coeffs), 2):
-        total += coeffs[i] * power
-        power *= wsq
-    return total
-
-
-def _newton_residual_exact(A: MultiPoly, k: Fraction, wsq: Fraction, w_abs: float) -> float:
-    """|A / dA/dw| at a point given exactly by w^2, with |w| supplied as float."""
-    coeffs = A.subs({"k": k}).univariate_coefficients("w")
-    val = _even_poly_value(coeffs, wsq)
-    # A is even in w, so dA/dw = w * (even polynomial in w^2) whose w^(2j)
-    # coefficient is (2j+2) * coeffs[2j+2]
-    deriv_over_w = Fraction(0)
-    power = Fraction(1)
-    for j in range(2, len(coeffs), 2):
-        deriv_over_w += j * coeffs[j] * power
-        power *= wsq
-    return abs(float(val / deriv_over_w)) / w_abs
 
 
 def check_mindlin_asymptotics() -> CheckResult:
@@ -339,16 +321,17 @@ def check_mindlin_asymptotics() -> CheckResult:
         return CheckResult(name, False, f"leading curvature {c1} != 10")
     _, A = mindlin_factorized(p)
     A = A.subs({"b": p.b})
-    samples = log_samples(1e-3, 1e-1, 25)
+    k = MultiPoly.var("k")
 
-    def lower_exact(kf: float) -> float:
-        k = Fraction(kf)
-        w = c1 * k**2 + c2 * k**4 + c3 * k**6
-        return _newton_residual_exact(A, k, w * w, abs(float(w)))
+    def order(poly: MultiPoly, var: str, series: MultiPoly) -> tuple:
+        """val_k poly(k, series) and val_k poly_var(k, series): the order of the
+        Newton step |poly/poly_var| along the series is their difference."""
+        return (_valuation(_compose(poly, var, series), "k"),
+                _valuation(_compose(poly.derivative(var), var, series), "k"))
 
-    slope_lower = residual_order(lambda s, v: v, lower_exact, samples)
-    if not order_matches(slope_lower, 8):
-        return CheckResult(name, False, f"3-term pinned-branch order {slope_lower} != 8")
+    lower = order(A, "w", c1 * k**2 + c2 * k**4 + c3 * k**6)
+    if lower != (10, 2):
+        return CheckResult(name, False, f"3-term pinned-branch valuations {lower} != (10, 2)")
 
     # upper branch: at this data set w = sqrt(3) * q(k) with q rational, built
     # from the rational parts of the closed forms (t = sqrt(3/(kappa G rho)))
@@ -365,40 +348,28 @@ def check_mindlin_asymptotics() -> CheckResult:
         or abs(float(r2) * sqrt3 - d2) > 1e-6
     ):
         return CheckResult(name, False, "upper coefficients disagree with their rational parts")
+    # A is even in w: as a polynomial in s = w^2 it takes s = 3 q^2 exactly, and
+    # A_w = 2 w A_s with w(0) != 0, so the order is val A - val A_s
+    s = MultiPoly.var("s")
+    As = sum((A.coefficient("w", 2 * j) * s**j for j in range(3)), MultiPoly.zero())
+    if _compose(As, "s", MultiPoly.var("w") ** 2) != A:
+        return CheckResult(name, False, "the plate factor A is not even in w")
+    q = r0 + r1 * k**2 + r2 * k**4
+    upper = order(As, "s", 3 * q * q)
+    if upper != (6, 0):
+        return CheckResult(name, False, f"2-term lifted-branch valuations {upper} != (6, 0)")
 
-    def upper_exact(kf: float) -> float:
-        k = Fraction(kf)
-        q = r0 + r1 * k**2 + r2 * k**4
-        return _newton_residual_exact(A, k, 3 * q * q, sqrt3 * abs(float(q)))
-
-    slope_upper = residual_order(lambda s, v: v, upper_exact, samples)
-    if not order_matches(slope_upper, 6):
-        return CheckResult(name, False, f"2-term lifted-branch order {slope_upper} != 6")
-
-    # Laurent series of S = k^2/w^2: exact cancellation and numeric order 4
-    P, _, _ = laurent_PQR(p)
-    kGD = float(p.kappa * p.G * p.D)
+    # Laurent series of S = k^2/w^2: the residual of w^2 times the quadratic
+    # starts at w^6, so the quadratic in S itself is O(w^4)
     for sign in (1, -1):
-        ws = laurent_S(p, sign)
-        if not laurent_quadratic_residual(p, ws).is_zero():
-            return CheckResult(name, False, f"Laurent residual not zero through w^5 ({sign:+d})")
-
-        def quad_res(wv: float, ws=ws) -> float:
-            sv = ws.eval({"w": wv}) / wv
-            return (
-                kGD * sv * sv
-                - float(P) * sv
-                + float(p.rho**2 * p.h**3) / 12
-                - float(p.b**2 * p.kappa * p.G * p.rho * p.h) / wv**2
-            )
-
-        slope_s = residual_order(lambda wv, v: v, lambda wv: quad_res(wv), samples)
-        if not order_matches(slope_s, 4):
-            return CheckResult(name, False, f"Laurent substitution order {slope_s} != 4")
+        low = _valuation(laurent_quadratic_residual(p, laurent_S(p, sign)), "w")
+        if low != 6:
+            return CheckResult(name, False, f"Laurent residual starts at w^{low}, not w^6 ({sign:+d})")
     return CheckResult(
         name, True,
-        f"cutoff=0.2*sqrt(3) at 1e-12, c1=10 exact, residual orders "
-        f"{slope_lower:.2f}~8, {slope_upper:.2f}~6, Laurent ~4 (all +-0.3)",
+        f"cutoff=0.2*sqrt(3) at 1e-12, c1=10 exact; exact orders: pinned "
+        f"{lower[0]}-{lower[1]}=8, lifted {upper[0]}-{upper[1]}=6, Laurent residual "
+        f"from w^6 (order 4 in S)",
     )
 
 
@@ -447,20 +418,28 @@ def check_velocity_relations() -> CheckResult:
         _, cT, cP = wave_speeds(p)
         if abs(cT**2 / cP**2 - float((1 - nu) / 2)) > 1e-14:
             return CheckResult(name, False, f"ratio fails at nu={nu}")
-    p = mindlin_default_params(b=Fraction(1, 10))
-    cT = math.sqrt(float(p.G / p.rho))
-    kapb2 = float(12 * p.kappa * p.b**2 / p.h**2)
-
-    def two_term(x: float) -> float:  # x = 1/k
-        return cT * (1 + kapb2 / 2 * x * x)
-
-    slope = residual_order(
-        lambda x, v: f_branch_speed(p, 1 / x) - v, two_term, log_samples(1e-3, 1e-1, 21)
-    )
-    if not order_matches(slope, 4):
-        return CheckResult(name, False, f"speed expansion order {slope} != 4")
-    if abs(f_branch_speed(mindlin_default_params(b=0), 7.0) - cT) > 1e-15:
-        return CheckResult(name, False, "b=0 speed is not the transverse speed")
+    # the shear-branch speed from the factor f = alpha w^2 - beta k^2 - gamma itself:
+    # with x = 1/k, x^2 f = alpha c^2 - beta - gamma x^2 on w = c k, so
+    # c^2 = cinf^2 (1 + a x^2) with cinf^2 = beta/alpha and a = gamma/beta; at
+    # b = 0 (gamma = 0) the speed is c_T where D(1-nu)/2 = G h^3/12, that is
+    # where E = 2 G (1 + nu)
+    consistent = MindlinParams(D=None, nu=Fraction(1, 4), G=2, E=5)
+    w, k, x = MultiPoly.var("w"), MultiPoly.var("k"), MultiPoly.var("x")
+    terms = []
+    for p in (mindlin_default_params(b=Fraction(1, 10)), consistent):
+        f = mindlin_factorized(p)[0].subs({"b": p.b})
+        alpha, beta = f.coefficient("w", 2).constant_value(), -f.coefficient("k", 2).constant_value()
+        gamma = -f.subs({"k": 0, "w": 0}).constant_value()
+        if f != alpha * w * w - beta * k * k - gamma:
+            return CheckResult(name, False, f"f is not alpha w^2 - beta k^2 - gamma at {p}")
+        terms.append((alpha, beta, gamma))
+    (alpha, beta, gamma), (alpha0, beta0, _) = terms
+    cinf2, a = beta / alpha, gamma / beta
+    low = _valuation(alpha * cinf2 * (1 + a / 2 * x * x) ** 2 - beta - gamma * x * x, "x")
+    if low != 4:
+        return CheckResult(name, False, f"two-term speed expansion leaves x^{low}, not x^4")
+    if beta0 / alpha0 != consistent.G / consistent.rho:
+        return CheckResult(name, False, "b=0 speed^2 beta/alpha is not G/rho at E = 2G(1+nu)")
     # b=0: the velocity residual vanishes at both characteristic speeds
     p0 = mindlin_default_params(b=0)
     cP = math.sqrt(float(12 * p0.D / (p0.rho * p0.h**3)))
@@ -470,7 +449,8 @@ def check_velocity_relations() -> CheckResult:
             return CheckResult(name, False, f"b=0 residual not zero at c={c}")
     return CheckResult(
         name, True,
-        f"cT^2/cP^2 = (1-nu)/2 at 1e-14 over nu in 0..0.45; expansion order {slope:.2f}~4",
+        f"cT^2/cP^2 = (1-nu)/2 at 1e-14 over nu in 0..0.45; speed^2 = {cinf2} (1 + {a} x^2) "
+        "exact, two-term speed leaves x^4; beta/alpha = G/rho at E = 2G(1+nu)",
     )
 
 

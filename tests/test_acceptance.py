@@ -5,6 +5,9 @@ tolerance; the checks live in facdisp.verify so the command line `facdisp
 verify` runs exactly the same code.
 """
 
+from facdisp import verify
+from facdisp.matdet import PolyMatrix
+from facdisp.polyalg import MultiPoly
 from facdisp.verify import (
     check_adjugate_laplace,
     check_coupling_expansion,
@@ -72,3 +75,34 @@ def test_criterion_10_mechanical_analog():
 
 def test_criterion_11_pipeline():
     report(11, check_pipeline())
+
+
+# mutations: each exact check must fail when the statement it checks is broken
+
+
+def test_pinned_order_check_fails_on_perturbed_c3(monkeypatch):
+    real = verify.lower_series
+    monkeypatch.setattr(verify, "lower_series", lambda p: real(p)[:2] + (real(p)[2] + 1,))
+    result = check_mindlin_asymptotics()
+    assert not result.passed and "pinned-branch valuations (8, 2)" in result.detail
+
+
+def test_laurent_check_fails_on_extra_w5(monkeypatch):
+    real = verify.laurent_S
+    monkeypatch.setattr(verify, "laurent_S", lambda p, sign: real(p, sign) + MultiPoly.var("w") ** 5)
+    result = check_mindlin_asymptotics()
+    assert not result.passed and "w^5" in result.detail
+
+
+def test_similarity_check_fails_on_flipped_coupling(monkeypatch):
+    # flipping both off-diagonal couplings keeps det(C_b), so the similarity must catch it
+    real = verify.mindlin_radial_matrix
+
+    def flipped(p):
+        m = real(p)
+        return PolyMatrix([[-m[i, j] if {i, j} == {0, 1} else m[i, j] for j in range(3)]
+                           for i in range(3)])
+
+    monkeypatch.setattr(verify, "mindlin_radial_matrix", flipped)
+    result = check_mindlin_factorization()
+    assert not result.passed and "k^2 B" in result.detail

@@ -41,6 +41,15 @@ class TestLagrangianCommand:
         code, _, err = run_cli("lagrangian", "/nonexistent/path.lag")
         assert code == 1
 
+    @pytest.mark.parametrize("text", ["dim 0\n", "dim 1\nfields\n"])
+    @pytest.mark.parametrize("emit", ["matrix", "dispersion"])
+    def test_fieldless_file_exits_1(self, tmp_path, text, emit):
+        path = tmp_path / "empty.lag"
+        path.write_text(text)
+        code, out, err = run_cli("lagrangian", str(path), "--emit", emit)
+        assert code == 1 and out == ""
+        assert "no fields declared" in err and "usage error" not in err
+
     @pytest.mark.parametrize("line, col", [("term 1/0 dt(u) dt(u)", 6),
                                            ("param c 1/0", 9)])
     def test_zero_denominator_exits_1_with_location(self, tmp_path, line, col):
@@ -283,5 +292,14 @@ class TestVerifyCommand:
         assert "3/3 checks passed" in out
 
     def test_unknown_suite_usage_error(self):
-        code, _, _ = run_cli("verify", "nosuch")
+        code, _, err = run_cli("verify", "nosuch")
         assert code == 2
+        assert "unknown suite 'nosuch'" in err and "'mindlin'" in err
+
+
+def test_cli_import_leaves_verify_unloaded():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = "import sys, facdisp.cli; sys.exit('facdisp.verify' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr

@@ -1,21 +1,19 @@
 import math
 from fractions import Fraction as F
 
-import numpy as np
 import pytest
 
+from facdisp.branches import trace_branches
+from facdisp.matdet import PolyMatrix
 from facdisp.models import (
     MindlinParams,
     TwtParams,
     WingParams,
-    f_branch_speed,
     kirchhoff_dispersion,
-    mindlin_block_diag,
     mindlin_default_params,
     mindlin_factorized,
     mindlin_full_matrix,
     mindlin_radial_matrix,
-    mindlin_rotation,
     twt_matrix,
     twt_matrix_raw,
     twt_scaling_holds,
@@ -25,11 +23,29 @@ from facdisp.models import (
     wing_matrix,
     wing_system,
 )
-from facdisp.polyalg import MultiPoly
+from facdisp.polyalg import ComplexPoly, MultiPoly
+from facdisp.verify import _compose
 
 W = MultiPoly.var("w")
 K = MultiPoly.var("k")
 B = MultiPoly.var("b")
+
+# the rational circle kx = t(1-u^2), ky = 2tu, k = t(1+u^2), and on it the
+# rotation to the plate's mode basis scaled by k (columns: deflection axis,
+# longitudinal and transverse in-plane directions) and its transpose
+T, U = MultiPoly.var("t"), MultiPoly.var("u")
+KX, KY, KR = T * (1 - U * U), 2 * T * U, T * (1 + U * U)
+KT = PolyMatrix([[0, KY, -KX], [0, KX, KY], [KR, 0, 0]])
+KTT = PolyMatrix([[0, 0, KR], [KY, KX, 0], [-KX, KY, 0]])
+
+
+def on_circle(m: PolyMatrix) -> PolyMatrix:
+    def put(e):
+        for var, q in (("kx", KX), ("ky", KY), ("k", KR)):
+            e = ComplexPoly(_compose(e.re, var, q), _compose(e.im, var, q))
+        return e
+
+    return PolyMatrix([[put(m[i, j]) for j in range(m.n)] for i in range(m.n)])
 
 
 class TestTwt:
@@ -121,41 +137,38 @@ class TestMindlinMatrices:
     def test_hermitian_numeric(self):
         m = mindlin_full_matrix(mindlin_default_params(b=F(1, 5)))
         assert m.is_hermitian()
-        pt = {"kx": 0.37, "ky": -0.91, "w": 1.3, "b": 0.4}
-        num = np.array(m.eval(pt))
-        assert np.abs(num - num.conj().T).max() < 1e-15
+        num = m.subs({"kx": F(37, 100), "ky": F(-91, 100), "w": F(13, 10), "b": F(2, 5)})
+        for i in range(3):
+            for j in range(3):
+                assert num[i, j] == ComplexPoly(num[j, i].re, -num[j, i].im)
 
     def test_rotation_axis_aligned(self):
-        t = mindlin_rotation(1.0, 0.0)
-        assert np.allclose(np.abs(t), np.array([[0, 0, 1], [0, 1, 0], [1, 0, 0]]))
-        assert np.allclose(t @ t.T, np.eye(3))
+        # u = 0 is the kx axis: kT/k is a signed permutation, and on the whole
+        # circle kT is k times an orthogonal matrix
+        t = MultiPoly.var("t")
+        assert KT.subs({"u": 0}) == PolyMatrix([[0, 0, -t], [0, t, 0], [t, 0, 0]])
+        assert KT @ KTT == PolyMatrix.diagonal([KR * KR] * 3)
+        assert KTT @ KT == PolyMatrix.diagonal([KR * KR] * 3)
 
     def test_rotation_requires_nonzero_k(self):
-        with pytest.raises(ValueError):
-            mindlin_rotation(0.0, 0.0)
+        # det(kT) = k^3: the rotation exists exactly where k != 0
+        assert KT.det() == KR**3
 
     def test_block_diag_similarity(self):
         p = mindlin_default_params(b=F(1, 10))
-        full = mindlin_full_matrix(p)
-        t, cb = mindlin_block_diag(p, 0.6, -0.8)
-        for wv, bv in ((0.5, 0.0), (1.7, 0.3)):
-            lhs = np.array(full.eval({"kx": 0.6, "ky": -0.8, "w": wv, "b": bv}))
-            rhs = t @ np.array(cb.eval({"w": wv, "b": bv})) @ t.T
-            assert np.abs(lhs - rhs).max() < 1e-12
+        lhs = on_circle(mindlin_full_matrix(p)).scale(KR * KR)
+        assert lhs == KT @ on_circle(mindlin_radial_matrix(p)) @ KTT
 
     def test_eigenvector_and_invariant_subspace(self):
         p = mindlin_default_params(b=F(1, 5))
-        kx, ky = 0.3, 0.4
-        k = math.hypot(kx, ky)
-        bmat = np.array(
-            mindlin_full_matrix(p).eval({"kx": kx, "ky": ky, "w": 0.9, "b": 0.25})
-        )
+        bmat = on_circle(mindlin_full_matrix(p))
         f, _ = mindlin_factorized(p)
-        fval = f.eval({"k": k, "w": 0.9, "b": 0.25})
-        tau3 = np.array([-kx / k, ky / k, 0.0])
-        assert np.abs(bmat @ tau3 - fval * tau3).max() < 1e-12
-        for tau in (np.array([0.0, 0.0, 1.0]), np.array([ky / k, kx / k, 0.0])):
-            assert abs((bmat @ tau) @ tau3) < 1e-12
+        tau3 = PolyMatrix([[-KX, 0, 0], [KY, 0, 0], [0, 0, 0]])
+        assert bmat @ tau3 == tau3.scale(_compose(f, "k", KR))
+        # in the mode basis the transverse rotation couples to nothing
+        rotated = KTT @ bmat @ KT
+        for i in range(2):
+            assert rotated[i, 2].is_zero() and rotated[2, i].is_zero()
 
 
 class TestMindlinFactorization:
@@ -165,18 +178,13 @@ class TestMindlinFactorization:
         assert mindlin_radial_matrix(p).det().as_real() == MultiPoly.const(p.h) * f * A
 
     def test_full_matrix_determinant_matches_numerically(self):
+        # at (kx, ky) = (3/10, 2/5), where k = 1/2 is rational, in exact arithmetic
         p = mindlin_default_params(b=F(1, 10))
         f, A = mindlin_factorized(p)
-        kx, ky, wv, bv = 0.4, 0.7, 1.2, 0.3
-        k = math.hypot(kx, ky)
-        det = np.linalg.det(
-            np.array(mindlin_full_matrix(p).eval({"kx": kx, "ky": ky, "w": wv, "b": bv}))
-        )
-        want = float(p.h) * f.eval({"k": k, "w": wv, "b": bv}) * A.eval(
-            {"k": k, "w": wv, "b": bv}
-        )
-        assert det.real == pytest.approx(want, rel=1e-10)
-        assert abs(det.imag) < 1e-12 * max(abs(want), 1.0)
+        pt = {"w": F(6, 5), "b": F(3, 10)}
+        det = mindlin_full_matrix(p).subs({"kx": F(3, 10), "ky": F(2, 5), **pt}).det()
+        at_k = {"k": F(1, 2), **pt}
+        assert det == ComplexPoly(p.h * f.eval_exact(at_k) * A.eval_exact(at_k))
 
     def test_zero_coupling_factors(self):
         p = mindlin_default_params()
@@ -234,23 +242,25 @@ class TestVelocities:
                   math.sqrt(float(12 * p.D / (p.rho * p.h**3)))):
             assert velocity_residual_A(p, c, 1.3) == pytest.approx(0.0, abs=1e-13)
 
-    def test_f_branch_speed(self):
-        p = mindlin_default_params(b=F(1, 10))
-        k = 40.0
-        exact = f_branch_speed(p, k)
-        cT = math.sqrt(float(p.G / p.rho))
-        eps = float(12 * p.kappa * p.b**2) / (float(p.h) ** 2 * k * k)
-        two_term = cT * (1 + eps / 2)
-        # next omitted term of sqrt(1 + eps) is -eps^2/8
-        assert abs(exact - two_term) < cT * eps**2 / 4
-        assert f_branch_speed(mindlin_default_params(b=0), 0.3) == pytest.approx(cT)
+    @pytest.mark.parametrize("p", [
+        mindlin_default_params(b=F(1, 10)),
+        MindlinParams(D=None, nu=F(1, 4), G=2, E=5, b=F(1, 10)),
+    ])
+    def test_speed_expansion_matches_traced_f_root(self, p):
+        # f = alpha w^2 - beta k^2 - gamma: speed^2 = (beta + gamma x^2)/alpha at x = 1/k
+        f = mindlin_factorized(p)[0].subs({"b": p.b})
+        alpha, beta = f.coefficient("w", 2).constant_value(), -f.coefficient("k", 2).constant_value()
+        gamma = -f.subs({"k": 0, "w": 0}).constant_value()
+        cinf, a, x = math.sqrt(beta / alpha), float(gamma / beta), 1 / 7
+        (speed,) = [t.last_omega() / 7 for t in trace_branches(f, [7.0]) if t.last_omega() > 0]
+        assert speed**2 == pytest.approx(float((beta + gamma * F(1, 49)) / alpha), rel=1e-12)
+        # the next term of cinf sqrt(1 + a x^2) is -cinf a^2 x^4/8
+        assert abs(speed - cinf * (1 + a * x * x / 2)) < cinf * a * a * x**4 / 4
 
     def test_guards(self):
         p = mindlin_default_params(b=F(1, 10))
         with pytest.raises(ValueError):
             velocity_residual_A(p, 0.0, 1.0)
-        with pytest.raises(ValueError):
-            f_branch_speed(p, 0.0)
 
 
 class TestMindlinParams:
